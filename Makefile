@@ -2,13 +2,20 @@
 
 PYTHON ?= python
 
-.PHONY: test bench lint docs-check examples profile
+.PHONY: test bench perfbench lint docs-check examples profile
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q -s
+
+# the end-to-end verdict benchmark (perfbench/README.md): every gated
+# workload, one seed, 40 s each
+perfbench:
+	for workload in farm model-sweep differential; do \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 40 || exit 1; \
+	done
 
 # static analysis: the catlint/litmuslint sweep over every in-tree
 # model, paper test and hunt seed always runs; ruff and mypy run when

@@ -9,25 +9,6 @@ vanishes, where the crossovers fall — is the reproduction target.
 
 from __future__ import annotations
 
-import json
-
-
-def merge_json_report(path, updates: dict) -> None:
-    """Read-merge-write a shared ``BENCH_*.json`` trajectory file.
-
-    Several benchmarks contribute sections to one report; merging (with
-    an unreadable file treated as empty) keeps them from clobbering each
-    other's keys.
-    """
-    merged = {}
-    if path.exists():
-        try:
-            merged = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            merged = {}
-    merged.update(updates)
-    path.write_text(json.dumps(merged, indent=2, sort_keys=True))
-
 
 def banner(title: str) -> None:
     print()

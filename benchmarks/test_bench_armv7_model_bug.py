@@ -11,7 +11,7 @@ from benchmarks._report import banner, row
 
 from repro.compiler import make_profile
 from repro.papertests import sb_sc
-from repro.pipeline import test_compilation
+from repro.pipeline import run_test_tv
 
 
 def test_bench_armv7_model_bug(benchmark):
@@ -19,8 +19,8 @@ def test_bench_armv7_model_bug(benchmark):
     profile = make_profile("llvm", "-O2", "armv7")
 
     def both_models():
-        buggy = test_compilation(litmus, profile, target_model="armv7_buggy")
-        fixed = test_compilation(litmus, profile)
+        buggy = run_test_tv(litmus, profile, target_model="armv7_buggy")
+        fixed = run_test_tv(litmus, profile)
         return buggy, fixed
 
     buggy, fixed = benchmark(both_models)

@@ -10,7 +10,7 @@ from benchmarks._report import banner, row
 from repro.compiler import make_profile
 from repro.lang.parser import parse_c_litmus
 from repro.papertests import FIG10_SOURCE, fig10_mp_rmw
-from repro.pipeline import test_compilation
+from repro.pipeline import run_test_tv
 
 
 def test_bench_fig10_rmw_bugs(benchmark):
@@ -21,7 +21,7 @@ def test_bench_fig10_rmw_bugs(benchmark):
         for compiler, version in (("llvm", 11), ("gcc", 9),
                                   ("llvm", 16), ("gcc", 12)):
             profile = make_profile(compiler, "-O2", "aarch64", version=version)
-            verdicts[f"{compiler}-{version}"] = test_compilation(
+            verdicts[f"{compiler}-{version}"] = run_test_tv(
                 litmus, profile
             ).verdict
         return verdicts
@@ -43,7 +43,7 @@ def test_bench_fig10_rmw_bugs(benchmark):
         "fig10_observed",
     )
     profile = make_profile("llvm", "-O2", "aarch64", version=11)
-    direct = test_compilation(observed, profile).verdict
+    direct = run_test_tv(observed, profile).verdict
     row("observing r1 directly (heisenbug)", "bug hides", direct)
 
     assert verdicts["llvm-11"] == "positive"

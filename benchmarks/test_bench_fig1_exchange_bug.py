@@ -10,7 +10,7 @@ from benchmarks._report import banner, row
 
 from repro.compiler import make_profile
 from repro.papertests import fig1_exchange
-from repro.pipeline import test_compilation
+from repro.pipeline import run_test_tv
 
 
 def test_bench_fig1_exchange_bug(benchmark):
@@ -18,9 +18,9 @@ def test_bench_fig1_exchange_bug(benchmark):
     buggy = make_profile("llvm", "-O2", "aarch64", version=16)
     fixed = make_profile("llvm", "-O2", "aarch64", version=17)
 
-    result = benchmark(test_compilation, litmus, buggy)
+    result = benchmark(run_test_tv, litmus, buggy)
 
-    fixed_result = test_compilation(litmus, fixed)
+    fixed_result = run_test_tv(litmus, fixed)
     banner("Fig. 1: atomic_exchange reordering past an acquire fence")
     row("buggy LLVM verdict", "bug (r0=0 & y=2)", result.verdict)
     row("fixed LLVM verdict", "no bug", fixed_result.verdict)

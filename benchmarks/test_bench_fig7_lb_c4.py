@@ -12,14 +12,14 @@ from benchmarks._report import banner, row
 from repro.baselines import c4_test
 from repro.compiler import make_profile
 from repro.papertests import fig7_lb
-from repro.pipeline import test_compilation
+from repro.pipeline import run_test_tv
 
 
 def test_bench_fig7_lb_and_c4_miss(benchmark):
     litmus = fig7_lb()
     profile = make_profile("llvm", "-O3", "aarch64")
 
-    result = benchmark(test_compilation, litmus, profile)
+    result = benchmark(run_test_tv, litmus, profile)
 
     banner("Fig. 7/8: load buffering under RC11 vs compiled AArch64")
     row("RC11 source outcomes", "3 (Fig. 8 left)",
@@ -34,7 +34,7 @@ def test_bench_fig7_lb_and_c4_miss(benchmark):
         "missed" if not c4.found_bug else "found")
 
     for arch in ("armv7", "ppc64", "riscv64"):
-        other = test_compilation(litmus, make_profile("llvm", "-O3", arch))
+        other = run_test_tv(litmus, make_profile("llvm", "-O3", arch))
         row(f"same behaviour targeting {arch}", "positive", other.verdict)
         assert other.verdict == "positive"
 

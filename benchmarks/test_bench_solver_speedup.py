@@ -5,25 +5,21 @@ Quantifies what the staged solver's pruning stages buy on the paper's
 traffic), the s2l-optimised test, and the three-thread source test.  For
 each configuration both engines run — :func:`exhaustive_stages` (the
 seed's brute-force behaviour) and the default staged pipeline — and the
-prune counters, candidate counts and wall-clock go into
-``BENCH_solver_speedup.json`` at the repo root so the perf trajectory
-captures the refactor's effect across PRs.
+prune counters, candidate counts and single-shot wall-clock are printed
+(``perfbench/`` owns repeated, trustworthy timings).
 
 Soundness is asserted throughout: pruning must never change an outcome
 set, only the work done to reach it.
 """
 
-import pathlib
 import time
 
-from benchmarks._report import banner, merge_json_report, row
+from benchmarks._report import banner, row
 
 from repro.compiler import make_profile
 from repro.herd import Budget, exhaustive_stages, simulate_asm, simulate_c
 from repro.papertests import fig11_lb3
 from repro.tools import assembly_to_litmus, compile_and_disassemble, prepare
-
-_REPORT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_solver_speedup.json"
 
 
 def _run(simulate, litmus, **kwargs):
@@ -52,7 +48,7 @@ def test_bench_solver_speedup(benchmark):
         ("fig11-source", simulate_c, fig11_lb3(), {}),
     ]
 
-    record = {}
+    results = {}
     banner("Staged solver engine: pruning vs brute force (Fig. 11 family)")
     for name, simulate, litmus, kwargs in configs:
         exhaustive, ex_s, staged, st_s = _run(simulate, litmus, **kwargs)
@@ -61,14 +57,7 @@ def test_bench_solver_speedup(benchmark):
         assert staged.outcomes == exhaustive.outcomes, name
         assert staged.flags == exhaustive.flags, name
         assert staged.stats.candidates <= exhaustive.stats.candidates, name
-        record[name] = {
-            "exhaustive": dict(exhaustive.stats.as_dict(), wall_seconds=ex_s),
-            "staged": dict(staged.stats.as_dict(), wall_seconds=st_s),
-            "outcomes": len(staged.outcomes),
-            "candidate_reduction": (
-                exhaustive.stats.candidates - staged.stats.candidates
-            ),
-        }
+        results[name] = (exhaustive, staged)
         row(name, "fewer candidates, same outcomes",
             f"candidates {exhaustive.stats.candidates} -> "
             f"{staged.stats.candidates}, pruned {staged.stats.total_pruned}, "
@@ -76,17 +65,12 @@ def test_bench_solver_speedup(benchmark):
 
     # the raw test is where the explosion lives: the staged engine must
     # strictly shrink its candidate space and record the prunes it made
-    raw_rec = record["fig11-raw-O0"]
-    assert raw_rec["candidate_reduction"] > 0
-    assert raw_rec["staged"]["total_pruned"] > 0
+    exhaustive, staged = results["fig11-raw-O0"]
+    assert exhaustive.stats.candidates - staged.stats.candidates > 0
+    assert staged.stats.total_pruned > 0
 
-    # timed rep of the staged engine on the raw test for the trajectory
-    timed = benchmark(simulate_asm, raw)
-    record["benchmark_staged_raw_seconds"] = timed.stats.elapsed_seconds
-
-    # merge-write: the campaign-engine benchmark shares this report file
-    merge_json_report(_REPORT_PATH, record)
-    row("report", "BENCH_solver_speedup.json", str(_REPORT_PATH.name))
+    # timed rep of the staged engine on the raw test
+    benchmark(simulate_asm, raw)
 
 
 class _PairRelation:
@@ -204,16 +188,3 @@ def test_bench_relation_kernels():
         f"{kernel_fix_s*1000:.1f} ms)")
     assert closure_speedup >= 3.0
     assert fixpoint_speedup >= 3.0
-
-    merge_json_report(_REPORT_PATH, {
-        "relation_kernels": {
-            "events": n_events,
-            "cases": len(cases),
-            "closure_reference_seconds": ref_closure_s,
-            "closure_kernel_seconds": kernel_closure_s,
-            "closure_speedup": closure_speedup,
-            "fixpoint_reference_seconds": ref_fix_s,
-            "fixpoint_kernel_seconds": kernel_fix_s,
-            "fixpoint_speedup": fixpoint_speedup,
-        },
-    })

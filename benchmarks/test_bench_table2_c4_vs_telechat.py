@@ -11,7 +11,7 @@ from repro.baselines import c4_test
 from repro.compiler import make_profile
 from repro.hw import run_on_hardware
 from repro.papertests import fig7_lb
-from repro.pipeline import test_compilation
+from repro.pipeline import run_test_tv
 from repro.tools import assembly_to_litmus, compile_and_disassemble, prepare
 
 
@@ -20,8 +20,8 @@ def test_bench_table2_c4_vs_telechat(benchmark):
     profile = make_profile("llvm", "-O3", "aarch64")
 
     def telechat_twice():
-        first = test_compilation(litmus, profile)
-        second = test_compilation(litmus, profile)
+        first = run_test_tv(litmus, profile)
+        second = run_test_tv(litmus, profile)
         return first, second
 
     first, second = benchmark(telechat_twice)

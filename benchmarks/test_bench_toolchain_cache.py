@@ -6,26 +6,22 @@ under content addresses, so a model sweep (the paper's Claim 4 re-run:
 ``rc11`` → ``rc11+lb``) reuses every compile and lift artifact — only
 the oracle simulations and compares re-run.  This benchmark measures
 exactly that: a 2-profile differential campaign over a diy suite, run
-cold under one model and warm under a second, with the per-stage
-hit/miss counters and wall-clock written into
-``BENCH_solver_speedup.json`` so the trajectory tracks the effect across
-PRs.
+cold under one model and warm under a second, printing the per-stage
+hit/miss counters and single-shot wall-clock (``perfbench/``'s
+``model-sweep`` workload measures the same reuse with repeated runs).
 
 Soundness is asserted throughout: the warm run must compile nothing new
 (misses unchanged ⇔ each (test, profile) compiled exactly once for the
 whole sweep), and each test's source side simulates once per model.
 """
 
-import pathlib
 import time
 
-from benchmarks._report import banner, merge_json_report, row
+from benchmarks._report import banner, row
 
 from repro.api import CampaignPlan, Session
 from repro.core.events import MemoryOrder
 from repro.tools.diy import DiyConfig
-
-_REPORT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_solver_speedup.json"
 
 CONFIG = DiyConfig(
     shapes=("LB", "SB", "MP", "S", "R"),
@@ -79,22 +75,6 @@ def test_bench_toolchain_cache(benchmark):
         f"{tests * len(PROFILES) * 2} possible", f"{compile_hits}")
     row("model-sweep speedup from artifact reuse", "> 1x",
         f"{speedup:.2f}x")
-
-    merge_json_report(_REPORT_PATH, {
-        "toolchain_cache": {
-            "tests": tests,
-            "profiles": list(PROFILES),
-            "models": list(MODELS),
-            "cold_seconds": round(cold_seconds, 4),
-            "warm_seconds": round(warm_seconds, 4),
-            "model_sweep_speedup": round(speedup, 2),
-            "compile_misses": warm_stats["compile"]["misses"],
-            "compile_hits": warm_stats["compile"]["hits"],
-            "lift_misses": warm_stats["lift"]["misses"],
-            "lift_hits": warm_stats["lift"]["hits"],
-            "source_sims_per_model": cold.source_simulations,
-        },
-    })
 
     benchmark(lambda: Session().campaign(CampaignPlan(
         config=DiyConfig(shapes=("LB",), orders=("rlx",), fences=(None,),

@@ -4,15 +4,15 @@
   compiler epochs, baselines — as overlays over the shipped globals),
   caches, budgets and an optional persistent store;
 * :class:`CampaignPlan` — the frozen, validated campaign description
-  that replaced ``run_campaign``'s sixteen keyword arguments;
+  (tv, differential and hunt modes);
 * the typed event stream — :meth:`Session.campaign` yields
   :class:`CampaignStarted`, :class:`CellFinished`, :class:`ShardMerged`
   and :class:`CampaignFinished`; :func:`fold_events` folds any complete
   stream back into the batch :class:`~repro.pipeline.campaign.CampaignReport`.
 
-The legacy module-level entry points (``run_campaign``,
-``test_compilation``) survive as deprecation shims over this package —
-see the README's deprecation policy.
+For one test, :meth:`Session.test` runs the Fig. 5 chain; the bare
+engine calls behind it are :func:`repro.pipeline.run_test_tv` and
+:func:`repro.pipeline.run_differential`.
 """
 
 from .engine import (

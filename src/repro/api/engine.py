@@ -1,11 +1,10 @@
 """The streaming campaign engine: cell producers feeding a typed event stream.
 
-This is the old ``run_campaign`` body rebuilt as a producer: the serial,
-thread-pool and process-pool backends all *yield* :class:`CellFinished`
-events as verdicts land (completion order, not work-list order), and
-:func:`fold_events` reconstructs the deterministic
-:class:`~repro.pipeline.campaign.CampaignReport` — byte-for-byte what the
-batch API returned — from any complete stream.
+The serial, thread-pool and process-pool backends all *yield*
+:class:`CellFinished` events as verdicts land (completion order, not
+work-list order), and :func:`fold_events` reconstructs the deterministic
+:class:`~repro.pipeline.campaign.CampaignReport` from any complete
+stream.
 
 All three campaign modes run through the one skeleton:
 
@@ -48,23 +47,34 @@ Invariants the rest of the system builds on:
   event is yielded, so an interrupted campaign resumes from every
   finished cell.
 
-Extension surface note: the executors and the per-cell tool-chain entries
-are late-bound through :mod:`repro.pipeline.campaign`'s namespace
-(``campaign.ThreadPoolExecutor``, ``campaign.ProcessPoolExecutor``,
-``campaign.test_compilation``, ``campaign.run_differential``), which has
-always been the place tests and embedders swap them.
+Every mode and backend evaluates the same thing: a frozen, picklable
+:class:`~repro.pipeline.campaign.CellSpec`, run by the one evaluator
+:func:`run_cell` and shaped by the one record shaper
+:func:`~repro.pipeline.campaign.shape_record`.  The serial and thread
+backends call it through the session's caches; process workers call it
+on a bounded worker-local toolchain.
+
+Extension surface note: the engine imports what it calls —
+``ThreadPoolExecutor``, ``ProcessPoolExecutor``, ``run_test_tv`` and
+``run_differential`` are names of this module, looked up at call time,
+so tests and embedders swap them here.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import as_completed
+from concurrent.futures import (
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    as_completed,
+)
 from dataclasses import replace
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..cat.registry import ARCH_MODEL
-from ..compiler.profiles import DEFAULT_VERSION, make_profile, parse_profile
+from ..cat.interp import Model
+from ..cat.registry import ARCH_MODEL, resolve_model
+from ..compiler.profiles import CompilerProfile
 from ..core.errors import ModelError, ReproError
 from ..herd.enumerate import Budget
 from ..herd.simulator import SimulationResult, simulate_c
@@ -72,18 +82,14 @@ from ..hunt.reduce import ReductionError, reduce_test
 from ..hunt.scheduler import HuntScheduler
 from ..lang.ast import CLitmus
 from ..lang.printer import print_c_litmus
-from ..pipeline import campaign as campaign_mod
 from ..pipeline.campaign import (
-    STORE_SCHEMA,
     CampaignReport,
-    SourceSimCache,
+    CellSpec,
     _campaign_cells,
-    _profile_name,
-    _shape_record,
-    _verdict_record,
     merge_reports,
+    shape_record,
 )
-from ..pipeline.store import cell_key
+from ..pipeline.telechat import run_differential, run_test_tv
 from ..toolchain import ArtifactCache, Toolchain, profile_signature
 from ..tools.l2c import prepare
 from ..tools.mutate import DEFAULT_OPERATORS, MutationError
@@ -98,15 +104,6 @@ from .events import (
 )
 from .plan import CampaignPlan, PlanError
 
-#: one work item: (test, arch, opt, compiler) for tv cells, and
-#: (test, arch, "diff", "<spec_a>|<spec_b>") for differential cells —
-#: one tuple shape so replay, events and folding share every code path.
-Cell = Tuple[CLitmus, str, str, str]
-
-#: per-process source caches for the ProcessPoolExecutor backend, keyed by
-#: the campaign parameters that change a source simulation.
-_WORKER_SOURCE_CACHES: Dict[Tuple, SourceSimCache] = {}
-
 #: per-process staged toolchain — artifact keys are content addresses, so
 #: worker-local caches stay sound and reuse compiles across that worker's
 #: cells exactly like the in-process path does.  The cache is *bounded*:
@@ -116,237 +113,130 @@ _WORKER_SOURCE_CACHES: Dict[Tuple, SourceSimCache] = {}
 _WORKER_TOOLCHAIN = Toolchain(cache=ArtifactCache(max_entries=512))
 
 
-def _pool_cell(task: Tuple) -> Dict[str, object]:
-    """Evaluate one campaign cell in a worker process.
+def run_cell(
+    spec: CellSpec,
+    chain: Toolchain,
+    profiles: Tuple[CompilerProfile, ...],
+    simulate_source: Optional[
+        Callable[[CellSpec, Model], SimulationResult]
+    ] = None,
+):
+    """The one cell evaluator: ``spec``'s tv or differential composition.
 
-    Runs the same tool-chain as the in-process path but returns a
-    JSON-able verdict record instead of a ``TelechatResult`` — the record
-    is the cross-process (and on-disk) currency.  Each worker process
-    keeps its own source cache; the parent de-duplicates source
-    simulations across workers by cache key.  Worker processes resolve
-    models against the *global* registries — session overlays do not
+    Models resolve against ``chain.models`` — the session overlay in
+    process, the global registry in a worker.  ``simulate_source``, when
+    given, runs the source side first — ``(spec, resolved source model)
+    -> SimulationResult`` — and its result seeds the composition, so a
+    cell whose source times out never compiles, on every backend alike.
+    """
+    source_model = resolve_model(spec.source_model, chain.models)
+    target_model = resolve_model(ARCH_MODEL[profiles[0].arch], chain.models)
+    source_result = None
+    if simulate_source is not None:
+        source_result = simulate_source(spec, source_model)
+    run = run_differential if spec.pair else run_test_tv
+    return run(
+        spec.litmus,
+        *profiles,
+        source_model=source_model,
+        target_model=target_model,
+        augment=spec.augment,
+        budget=Budget(max_candidates=spec.budget_candidates),
+        source_result=source_result,
+        toolchain=chain,
+    )
+
+
+def _pool_cell(spec: CellSpec) -> Dict[str, object]:
+    """Evaluate one cell in a worker process.
+
+    Returns the JSON-able verdict record — the cross-process (and
+    on-disk) currency.  The source side runs through the worker
+    toolchain's bounded simulate-source stage; ``source_simulated`` says
+    whether this cell missed that stage, and the parent folds the flag
+    into its de-duplicated source-simulation tally.  Profiles and models
+    resolve against the *global* registries: session overlays do not
     cross the process boundary (the session refuses to try).
     """
-    litmus, arch, opt, compiler, source_model, augment, budget_candidates = task
-    cache = _WORKER_SOURCE_CACHES.setdefault(
-        (source_model, augment, budget_candidates), SourceSimCache()
+    chain = _WORKER_TOOLCHAIN
+    sources = chain.cache.stage("simulate-source")
+    misses_before = sources.misses
+
+    def simulate(spec: CellSpec, model: Model) -> SimulationResult:
+        prepared = chain.prepare(spec.litmus, augment=spec.augment)
+        budget = Budget(max_candidates=spec.budget_candidates)
+        return chain.simulate_source(prepared, model, budget=budget).result
+
+    record = shape_record(
+        spec, lambda: run_cell(spec, chain, spec.profiles(), simulate)
     )
-    source_key = (litmus.digest(), source_model, augment, budget_candidates)
-
-    def produce_result():
-        source_result = cache.get(
-            source_key,
-            lambda: simulate_c(
-                prepare(litmus, augment=augment),
-                source_model,
-                budget=Budget(max_candidates=budget_candidates),
-            ),
-        )
-        return campaign_mod.test_compilation(
-            litmus,
-            make_profile(compiler, opt, arch),
-            source_model=source_model,
-            augment=augment,
-            budget=Budget(max_candidates=budget_candidates),
-            source_result=source_result,
-            toolchain=_WORKER_TOOLCHAIN,
-        )
-
-    misses_before = cache.misses
-    record = _verdict_record(
-        litmus, arch, opt, compiler, source_model, augment, budget_candidates,
-        produce_result,
-    )
-    record["source_simulated"] = cache.misses > misses_before
-    return record
-
-
-def _diff_base_record(
-    litmus: CLitmus,
-    arch: str,
-    label: str,
-    spec_a: str,
-    spec_b: str,
-    source_model: str,
-    augment: bool,
-    budget_candidates: int,
-) -> Dict[str, object]:
-    """The identity half of a differential verdict record.
-
-    ``label`` (``"<spec_a>|<spec_b>"``) stands in for the profile name in
-    the store key, so differential verdicts persist and resume through
-    the unchanged PR 2 store format.
-    """
-    return {
-        "schema": STORE_SCHEMA,
-        "digest": litmus.digest(),
-        "test": litmus.name,
-        "mode": "differential",
-        "arch": arch,
-        "opt": "diff",
-        "compiler": label,
-        "profile": label,
-        "profile_a": spec_a,
-        "profile_b": spec_b,
-        "source_model": source_model,
-        "augment": bool(augment),
-        "budget_candidates": budget_candidates,
-    }
-
-
-def _diff_verdict_record(
-    litmus: CLitmus,
-    arch: str,
-    label: str,
-    spec_a: str,
-    spec_b: str,
-    source_model: str,
-    augment: bool,
-    budget_candidates: int,
-    produce_result,
-) -> Dict[str, object]:
-    """Run one differential cell and shape its outcome as a verdict
-    record — same status contract (``_shape_record``) as tv cells."""
-    record = _shape_record(
-        _diff_base_record(
-            litmus, arch, label, spec_a, spec_b, source_model, augment,
-            budget_candidates,
-        ),
-        produce_result,
-    )
-    # identity fields win over the result's name-based rendering: plan
-    # profile *specs* may carry a version suffix profile names drop
-    record.update(
-        profile=label, profile_a=spec_a, profile_b=spec_b,
-        source_model=source_model,
-    )
-    return record
-
-
-def _pool_diff_cell(task: Tuple) -> Dict[str, object]:
-    """Evaluate one differential cell in a worker process (profiles are
-    re-parsed against the global registries; the session refuses to send
-    session-local epochs across the process boundary)."""
-    (litmus, arch, label, spec_a, spec_b, source_model, augment,
-     budget_candidates) = task
-    cache = _WORKER_SOURCE_CACHES.setdefault(
-        (source_model, augment, budget_candidates), SourceSimCache()
-    )
-    source_key = (litmus.digest(), source_model, augment, budget_candidates)
-
-    def produce_result():
-        source_result = cache.get(
-            source_key,
-            lambda: simulate_c(
-                prepare(litmus, augment=augment),
-                source_model,
-                budget=Budget(max_candidates=budget_candidates),
-            ),
-        )
-        return campaign_mod.run_differential(
-            litmus,
-            parse_profile(spec_a),
-            parse_profile(spec_b),
-            source_model=source_model,
-            augment=augment,
-            budget=Budget(max_candidates=budget_candidates),
-            source_result=source_result,
-            toolchain=_WORKER_TOOLCHAIN,
-        )
-
-    misses_before = cache.misses
-    record = _diff_verdict_record(
-        litmus, arch, label, spec_a, spec_b, source_model, augment,
-        budget_candidates, produce_result,
-    )
-    record["source_simulated"] = cache.misses > misses_before
+    record["source_simulated"] = sources.misses > misses_before
     return record
 
 
 def _run_pending(
-    pending: List[Tuple[int, Cell]],
+    pending: List[Tuple[int, CellSpec]],
     plan: CampaignPlan,
-    evaluate,
-    pool_task,
-    pool_fn,
-) -> Iterator[Tuple[int, Cell, Dict[str, object]]]:
-    """Stream ``(index, item, record)`` for every pending cell under the
+    ctx: "_CellContext",
+) -> Iterator[Tuple[int, CellSpec, Dict[str, object]]]:
+    """Stream ``(index, spec, record)`` for every pending cell under the
     plan's execution backend — the one backend selector every campaign
-    mode shares.
+    mode shares.  Sources a worker process simulated are folded into
+    ``ctx.simulated_sources`` as their records land.
 
     Invariants: records arrive in *completion* order (events carry their
     deterministic index, so folding is order-independent); in the pool
-    branches an unexpected exception from one cell never discards the
+    branch an unexpected exception from one cell never discards the
     verdicts of cells that still ran (everything streams, then the first
     failure re-raises); a consumer that abandons the stream early cancels
     everything still queued, so pool shutdown only waits for the cells
     already running.  Serial execution propagates failures immediately,
     the historical behaviour.
     """
-    first_error: Optional[BaseException] = None
-    if pending and plan.processes > 0:
-        with campaign_mod.ProcessPoolExecutor(
-            max_workers=plan.processes
-        ) as pool:
-            future_map = {}
-            try:
-                for index, item in pending:
-                    future_map[pool.submit(pool_fn, pool_task(*item))] = (
-                        index, item
-                    )
-                for future in as_completed(future_map):
-                    index, item = future_map[future]
-                    try:
-                        record = future.result()
-                    except Exception as exc:
-                        first_error = (
-                            first_error if first_error is not None else exc
-                        )
-                        continue
-                    yield index, item, record
-            finally:
-                for future in future_map:
-                    future.cancel()
-    elif pending and plan.workers > 1:
-        # the with-block shuts the pool down even when an unexpected
-        # exception escapes future.result(), so workers never leak
-        with campaign_mod.ThreadPoolExecutor(
-            max_workers=plan.workers
-        ) as pool:
-            future_map = {
-                pool.submit(evaluate, *item): (index, item)
-                for index, item in pending
-            }
-            try:
-                for future in as_completed(future_map):
-                    index, item = future_map[future]
-                    try:
-                        record = future.result()
-                    except Exception as exc:
-                        first_error = (
-                            first_error if first_error is not None else exc
-                        )
-                        continue
-                    yield index, item, record
-            finally:
-                for future in future_map:  # see the process branch
-                    future.cancel()
+    if not pending or (plan.processes == 0 and plan.workers <= 1):
+        for index, spec in pending:
+            yield index, spec, ctx.evaluate(spec)
+        return
+    if plan.processes > 0:
+        pool = ProcessPoolExecutor(max_workers=plan.processes)
+        evaluate = _pool_cell
     else:
-        for index, item in pending:
-            yield index, item, evaluate(*item)
+        pool = ThreadPoolExecutor(max_workers=plan.workers)
+        evaluate = ctx.evaluate
+    first_error: Optional[BaseException] = None
+    # the with-block shuts the pool down even when an unexpected
+    # exception escapes, so workers never leak
+    with pool:
+        future_map = {}
+        try:
+            for index, spec in pending:
+                future_map[pool.submit(evaluate, spec)] = (index, spec)
+            for future in as_completed(future_map):
+                index, spec = future_map[future]
+                try:
+                    record = future.result()
+                except Exception as exc:
+                    if first_error is None:
+                        first_error = exc
+                    continue
+                if record.get("source_simulated"):
+                    ctx.simulated_sources.add(ctx.source_key_of(spec.litmus))
+                yield index, spec, record
+        finally:
+            for future in future_map:
+                future.cancel()
     if first_error is not None:
         raise first_error
 
 
 class _CellContext:
-    """The tv-cell evaluation context campaign and hunt runs share.
+    """The in-process cell evaluation context every campaign mode shares.
 
-    Owns the session-resolved cache identity (model/arch/epoch
-    signatures, stage token — the PR 2 rule: verdicts key by what names
-    *resolve to*, never names alone), the hoisted source simulation, and
-    the two faces of one tv cell: the in-process ``evaluate`` (through
-    the session's result cache and toolchain) and the ``pool_task``
-    tuple the process backend ships to :func:`_pool_cell`.
+    Owns the session-resolved cache identity (model/arch signatures,
+    resolved profile signatures, stage token — the PR 2 rule: verdicts
+    key by what names *resolve to*, never names alone), the hoisted
+    source simulation, and :meth:`evaluate`, the serial and thread
+    backends' face of :func:`run_cell`.
     """
 
     def __init__(self, plan: CampaignPlan, session) -> None:
@@ -360,9 +250,21 @@ class _CellContext:
         self.stages_token = session.stages_token()
         self.source_sig = self.model_sig(plan.source_model)
         self._arch_sigs: Dict[str, str] = {}
-        self._epoch_sigs: Dict[str, str] = {}
         #: source-simulation keys actually produced during this run
         self.simulated_sources: set = set()
+
+    def cell(
+        self,
+        litmus: CLitmus,
+        arch: str,
+        opt: str,
+        compiler: str,
+        pair: Optional[Tuple[str, str]] = None,
+    ) -> CellSpec:
+        return CellSpec(
+            litmus, arch, opt, compiler, self.source_model, self.augment,
+            self.budget_candidates, pair,
+        )
 
     # -- cache identity ------------------------------------------------ #
     def model_sig(self, name: str) -> str:
@@ -380,76 +282,47 @@ class _CellContext:
             )
         return self._arch_sigs[arch]
 
-    def epoch_sig(self, compiler: str) -> str:
-        # the bug set behind a profile *name* is part of a verdict's
-        # identity (names carry no version), so a session re-run after
-        # epochs.register() re-simulates instead of replaying
-        if compiler not in self._epoch_sigs:
-            try:
-                flags = self.session.epochs.get(
-                    f"{compiler}-{DEFAULT_VERSION[compiler]}"
-                )
-                self._epoch_sigs[compiler] = "|".join(sorted(flags))
-            except (KeyError, ReproError):
-                self._epoch_sigs[compiler] = ""
-        return self._epoch_sigs[compiler]
-
     # -- source hoisting ----------------------------------------------- #
     def source_key_of(self, litmus: CLitmus) -> Tuple:
         return (litmus.digest(), self.source_model, self.source_sig,
                 self.augment, self.budget_candidates)
 
-    def simulate_source(self, litmus: CLitmus) -> SimulationResult:
-        key = self.source_key_of(litmus)
+    def simulate_source(
+        self, spec: CellSpec, model: Model
+    ) -> SimulationResult:
+        key = self.source_key_of(spec.litmus)
 
         def produce() -> SimulationResult:
             self.simulated_sources.add(key)
             return simulate_c(
-                prepare(litmus, augment=self.augment),
-                self.session.model(self.source_model),
+                prepare(spec.litmus, augment=self.augment),
+                model,
                 budget=Budget(max_candidates=self.budget_candidates),
             )
 
         return self.source_cache.get(key, produce)
 
-    # -- one tv cell, three faces -------------------------------------- #
-    def run_cell(self, litmus: CLitmus, arch: str, opt: str, compiler: str):
-        # the session's epoch overlay decides which compiler bugs this
-        # cell simulates (private epochs are process/store-guarded by
-        # the engine entry points)
-        profile = make_profile(
-            compiler, opt, arch, epochs=self.session.epochs
-        )
-        return self.result_cache.get(
-            (litmus.digest(), profile.name, self.source_model,
-             self.source_sig, self.arch_sig(arch), self.epoch_sig(compiler),
-             self.augment, self.budget_candidates, self.stages_token),
-            lambda: campaign_mod.test_compilation(
-                litmus,
-                profile,
-                source_model=self.session.model(self.source_model),
-                target_model=self.session.arch_model(profile.arch),
-                augment=self.augment,
-                budget=Budget(max_candidates=self.budget_candidates),
-                source_result=self.simulate_source(litmus),
-                toolchain=self.toolchain,
-            ),
-        )
+    # -- one cell, in process ------------------------------------------ #
+    def evaluate(self, spec: CellSpec) -> Dict[str, object]:
+        def produce():
+            # the session's epoch overlay decides which compiler bugs this
+            # cell simulates; the profile signatures carry those bug sets
+            # into the key (private epochs are process/store-guarded)
+            profiles = spec.profiles(self.session.epochs)
+            key = (
+                spec.litmus.digest(),
+                *(profile_signature(p) for p in profiles),
+                self.source_model, self.source_sig, self.arch_sig(spec.arch),
+                self.augment, self.budget_candidates, self.stages_token,
+            )
+            return self.result_cache.get(
+                key,
+                lambda: run_cell(
+                    spec, self.toolchain, profiles, self.simulate_source
+                ),
+            )
 
-    def evaluate(
-        self, litmus: CLitmus, arch: str, opt: str, compiler: str
-    ) -> Dict[str, object]:
-        return _verdict_record(
-            litmus, arch, opt, compiler, self.source_model, self.augment,
-            self.budget_candidates,
-            lambda: self.run_cell(litmus, arch, opt, compiler),
-        )
-
-    def pool_task(
-        self, litmus: CLitmus, arch: str, opt: str, compiler: str
-    ) -> Tuple:
-        return (litmus, arch, opt, compiler, self.source_model, self.augment,
-                self.budget_candidates)
+        return shape_record(spec, produce)
 
 
 def _lint_tests(tests, plan: CampaignPlan, what: str = "test") -> None:
@@ -485,11 +358,6 @@ def _check_session_constraints(plan: CampaignPlan, session) -> None:
     """The store/process-pool guards every campaign mode enforces."""
     if plan.resume and session.store is None:
         raise PlanError("resume=True needs a store to resume from")
-    if plan.processes > 0 and session.caches_explicit:
-        raise PlanError(
-            "in-memory source/result caches are not shared with worker "
-            "processes; persist across process-pool campaigns with a store"
-        )
     local = sorted(
         session.local_model_names(plan)
         | session.local_epoch_names(plan)
@@ -512,6 +380,48 @@ def _check_session_constraints(plan: CampaignPlan, session) -> None:
         )
 
 
+def _split_replay(
+    work: List[CellSpec], plan: CampaignPlan, store, base: int = 0
+) -> Tuple[List[Tuple[int, CellSpec, Dict[str, object]]],
+           List[Tuple[int, CellSpec]]]:
+    """Partition work into store-replayed and pending cells, with indexes
+    continuing from ``base`` (eager: cheap, and ``CampaignStarted``
+    reports exact pending counts)."""
+    replayed: List[Tuple[int, CellSpec, Dict[str, object]]] = []
+    pending: List[Tuple[int, CellSpec]] = []
+    for index, spec in enumerate(work, base):
+        stored = (
+            store.get(spec.store_key())
+            if store is not None and plan.resume else None
+        )
+        if stored is not None:
+            replayed.append((index, spec, stored))
+        else:
+            pending.append((index, spec))
+    return replayed, pending
+
+
+def _cell_event(
+    index: int,
+    spec: CellSpec,
+    record: Dict[str, object],
+    from_store: bool,
+    plan: CampaignPlan,
+) -> CellFinished:
+    return CellFinished(
+        index=index,
+        test=spec.litmus.name,
+        digest=str(record.get("digest", "")),
+        arch=spec.arch,
+        opt=spec.opt,
+        compiler=spec.compiler,
+        record=record,
+        from_store=from_store,
+        shard=plan.shard,
+        mode=plan.mode,
+    )
+
+
 def iter_campaign(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
     """Run ``plan`` inside ``session``, yielding events as cells finish.
 
@@ -521,143 +431,55 @@ def iter_campaign(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
     """
     if plan.mode == "hunt":
         return iter_hunt(plan, session)
-    differential = plan.mode == "differential"
     _check_session_constraints(plan, session)
-
-    # differential mode: resolve the profile pairs eagerly — an
-    # unresolvable or cross-architecture pairing is a plan mistake, not
-    # a per-cell error (there is nothing meaningful left to run)
-    pair_map: Dict[str, Tuple] = {}
-    if differential:
-        resolved_profiles = []
-        for spec in plan.profiles:
-            try:
-                resolved_profiles.append((spec, session.profile(spec)))
-            except ReproError as exc:
-                raise PlanError(
-                    f"differential profile {spec!r} failed to resolve: {exc}"
-                )
-        arches_used = sorted({p.arch for _, p in resolved_profiles})
-        if len(arches_used) != 1:
-            raise PlanError(
-                f"differential testing requires a common architecture; "
-                f"profiles target {arches_used}"
-            )
-        diff_arch = arches_used[0]
-        for (spec_a, prof_a), (spec_b, prof_b) in itertools.combinations(
-            resolved_profiles, 2
-        ):
-            pair_map[f"{spec_a}|{spec_b}"] = (spec_a, prof_a, spec_b, prof_b)
-
     tests = plan.resolve_tests(shapes=session.shapes)
     _lint_tests(tests, plan)
     store = session.store
     result_cache = session.result_cache
     ctx = _CellContext(plan, session)
-    source_model = plan.source_model
-    augment = plan.augment
-    budget_candidates = plan.budget_candidates
 
-    if differential:
-        work: List[Cell] = [
-            (litmus, diff_arch, "diff", label)
+    if plan.mode == "differential":
+        # resolve the profiles eagerly — an unresolvable or
+        # cross-architecture pairing is a plan mistake, not a per-cell
+        # error (there is nothing meaningful left to run)
+        arches_used = set()
+        for spec in plan.profiles:
+            try:
+                arches_used.add(session.profile(spec).arch)
+            except ReproError as exc:
+                raise PlanError(
+                    f"differential profile {spec!r} failed to resolve: {exc}"
+                )
+        if len(arches_used) != 1:
+            raise PlanError(
+                f"differential testing requires a common architecture; "
+                f"profiles target {sorted(arches_used)}"
+            )
+        (diff_arch,) = arches_used
+        work = [
+            ctx.cell(litmus, diff_arch, "diff", f"{a}|{b}", pair=(a, b))
             for litmus in tests
-            for label in pair_map
+            for a, b in itertools.combinations(plan.profiles, 2)
         ]
     else:
-        work = _campaign_cells(
-            tests, plan.arches, plan.opts, plan.compilers
-        )
+        work = [
+            ctx.cell(*cell)
+            for cell in _campaign_cells(
+                tests, plan.arches, plan.opts, plan.compilers
+            )
+        ]
     if plan.shard is not None:
         shard_k, shard_n = plan.shard
         work = work[shard_k::shard_n]
 
     start = time.perf_counter()
     result_hits_before = result_cache.hits
-
-    def run_diff_cell(litmus: CLitmus, arch: str, label: str):
-        spec_a, prof_a, spec_b, prof_b = pair_map[label]
-        return result_cache.get(
-            (litmus.digest(), "diff", label, profile_signature(prof_a),
-             profile_signature(prof_b), source_model, ctx.source_sig,
-             ctx.arch_sig(arch), augment, budget_candidates,
-             ctx.stages_token),
-            lambda: campaign_mod.run_differential(
-                litmus,
-                prof_a,
-                prof_b,
-                source_model=session.model(source_model),
-                target_model=session.arch_model(arch),
-                augment=augment,
-                budget=Budget(max_candidates=budget_candidates),
-                source_result=ctx.simulate_source(litmus),
-                toolchain=ctx.toolchain,
-            ),
-        )
-
-    def evaluate(
-        litmus: CLitmus, arch: str, opt: str, compiler: str
-    ) -> Dict[str, object]:
-        if differential:
-            spec_a, _, spec_b, _ = pair_map[compiler]
-            return _diff_verdict_record(
-                litmus, arch, compiler, spec_a, spec_b, source_model,
-                augment, budget_candidates,
-                lambda: run_diff_cell(litmus, arch, compiler),
-            )
-        return ctx.evaluate(litmus, arch, opt, compiler)
-
-    def pool_task(litmus: CLitmus, arch: str, opt: str, compiler: str) -> Tuple:
-        if differential:
-            spec_a, _, spec_b, _ = pair_map[compiler]
-            return (litmus, arch, compiler, spec_a, spec_b, source_model,
-                    augment, budget_candidates)
-        return ctx.pool_task(litmus, arch, opt, compiler)
-
-    pool_fn = _pool_diff_cell if differential else _pool_cell
-
-    def store_profile_label(arch: str, opt: str, compiler: str) -> str:
-        if differential:
-            return compiler  # the "<spec_a>|<spec_b>" pair label
-        return _profile_name(compiler, opt, arch)
-
-    # replay whatever the persistent store already knows (eager: cheap,
-    # and the CampaignStarted event reports exact pending counts)
-    replayed: List[Tuple[int, Cell, Dict[str, object]]] = []
-    pending: List[Tuple[int, Cell]] = []
-    for index, (litmus, arch, opt, compiler) in enumerate(work):
-        if store is not None and plan.resume:
-            key = cell_key(
-                litmus.digest(), store_profile_label(arch, opt, compiler),
-                source_model, augment, budget_candidates,
-            )
-            stored = store.get(key)
-            if stored is not None:
-                replayed.append((index, (litmus, arch, opt, compiler), stored))
-                continue
-        pending.append((index, (litmus, arch, opt, compiler)))
-
-    def cell_event(
-        index: int, item: Cell, record: Dict[str, object], from_store: bool
-    ) -> CellFinished:
-        litmus, arch, opt, compiler = item
-        return CellFinished(
-            index=index,
-            test=litmus.name,
-            digest=str(record.get("digest", "")),
-            arch=arch,
-            opt=opt,
-            compiler=compiler,
-            record=record,
-            from_store=from_store,
-            shard=plan.shard,
-            mode=plan.mode,
-        )
+    replayed, pending = _split_replay(work, plan, store)
 
     def events() -> Iterator[CampaignEvent]:
         ok_cells = 0
         yield CampaignStarted(
-            source_model=source_model,
+            source_model=plan.source_model,
             tests_input=len(tests),
             cells_total=len(work),
             pending=len(pending),
@@ -665,33 +487,23 @@ def iter_campaign(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
             processes=plan.processes,
             shard=plan.shard,
         )
-        for index, item, record in replayed:
+        for index, spec, record in replayed:
             if record.get("status") == "ok":
                 ok_cells += 1
-            yield cell_event(index, item, record, True)
-
-        def finish(
-            index: int, item: Cell, record: Dict[str, object]
-        ) -> CellFinished:
-            """Land one freshly computed verdict — persisting it *now*,
-            so an interrupted campaign resumes from every finished cell."""
-            nonlocal ok_cells
-            if store is not None:
-                store.put(record)
-            if record.get("status") == "ok":
-                ok_cells += 1
-            return cell_event(index, item, record, False)
+            yield _cell_event(index, spec, record, True, plan)
 
         # evaluate the cells the store could not answer (see
         # _run_pending for the error/cancellation contract)
-        producer = _run_pending(pending, plan, evaluate, pool_task, pool_fn)
+        producer = _run_pending(pending, plan, ctx)
         try:
-            for index, item, record in producer:
-                if record.get("source_simulated"):
-                    # a worker process simulated this source; fold it
-                    # into the run's de-duplicated source-sim tally
-                    ctx.simulated_sources.add(ctx.source_key_of(item[0]))
-                yield finish(index, item, record)
+            for index, spec, record in producer:
+                # persist *now*, so an interrupted campaign resumes from
+                # every finished cell
+                if store is not None:
+                    store.put(record)
+                if record.get("status") == "ok":
+                    ok_cells += 1
+                yield _cell_event(index, spec, record, False, plan)
         finally:
             # a consumer that abandons the stream early (fuzzing loops
             # break at the first positive) must not pay for the whole
@@ -699,7 +511,7 @@ def iter_campaign(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
             producer.close()
 
         yield CampaignFinished(
-            source_model=source_model,
+            source_model=plan.source_model,
             compiled_tests=ok_cells,
             elapsed_seconds=time.perf_counter() - start,
             source_sim_keys=frozenset(ctx.simulated_sources),
@@ -753,74 +565,8 @@ def iter_hunt(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
     ctx = _CellContext(plan, session)
     store = session.store
     result_cache = session.result_cache
-    source_model = plan.source_model
-    augment = plan.augment
-    budget_candidates = plan.budget_candidates
     start = time.perf_counter()
     result_hits_before = result_cache.hits
-
-    def annotate(record: Dict[str, object], digest: str) -> Dict[str, object]:
-        """Stamp a cell record with hunt mode + mutation lineage (records
-        from worker processes arrive tv-shaped; the scheduler state never
-        leaves this process)."""
-        record = dict(record, mode="hunt")
-        record.update(scheduler.lineage(digest).as_record())
-        return record
-
-    def split_replay(work: List[Cell], base: int):
-        """Partition one round's work into store-replayed and pending
-        cells, with indexes continuing from ``base``."""
-        replayed: List[Tuple[int, Cell, Dict[str, object]]] = []
-        pending: List[Tuple[int, Cell]] = []
-        for offset, (litmus, arch, opt, compiler) in enumerate(work):
-            if store is not None and plan.resume:
-                key = cell_key(
-                    litmus.digest(), _profile_name(compiler, opt, arch),
-                    source_model, augment, budget_candidates,
-                )
-                stored = store.get(key)
-                if stored is not None:
-                    replayed.append(
-                        (base + offset, (litmus, arch, opt, compiler), stored)
-                    )
-                    continue
-            pending.append((base + offset, (litmus, arch, opt, compiler)))
-        return replayed, pending
-
-    def cell_event(
-        index: int, item: Cell, record: Dict[str, object], from_store: bool
-    ) -> CellFinished:
-        litmus, arch, opt, compiler = item
-        return CellFinished(
-            index=index,
-            test=litmus.name,
-            digest=str(record.get("digest", "")),
-            arch=arch,
-            opt=opt,
-            compiler=compiler,
-            record=record,
-            from_store=from_store,
-            shard=None,
-            mode="hunt",
-        )
-
-    def reduction_check(profile):
-        """The reduction oracle: "run_tv still says positive", straight
-        through the session's toolchain (per-stage cache) — deliberately
-        *not* through the result cache, whose hit counter feeds report
-        parity and must only ever count campaign cells."""
-        def check(candidate: CLitmus) -> bool:
-            result = campaign_mod.test_compilation(
-                candidate,
-                profile,
-                source_model=session.model(source_model),
-                target_model=session.arch_model(profile.arch),
-                augment=augment,
-                budget=Budget(max_candidates=budget_candidates),
-                toolchain=ctx.toolchain,
-            )
-            return result.verdict == "positive"
-        return check
 
     def events() -> Iterator[CampaignEvent]:
         ok_cells = 0
@@ -830,21 +576,24 @@ def iter_hunt(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
         positive_digests: set = set()
         #: first positive cell per digest, in index order — what gets
         #: reduced (deterministic across backends and completion orders)
-        positive_cells: List[Tuple[int, Cell]] = []
+        positive_cells: List[Tuple[int, CellSpec]] = []
         round_tests = scheduler.initial()
 
         first_round = True
         while round_tests:
-            work = _campaign_cells(
-                round_tests, plan.arches, plan.opts, plan.compilers
-            )
-            replayed, pending = split_replay(work, next_index)
+            work = [
+                ctx.cell(*cell)
+                for cell in _campaign_cells(
+                    round_tests, plan.arches, plan.opts, plan.compilers
+                )
+            ]
+            replayed, pending = _split_replay(work, plan, store, next_index)
             next_index += len(work)
             store_hits += len(replayed)
             if first_round:
                 first_round = False
                 yield CampaignStarted(
-                    source_model=source_model,
+                    source_model=plan.source_model,
                     tests_input=len(seeds),
                     cells_total=len(work),
                     pending=len(pending),
@@ -857,41 +606,42 @@ def iter_hunt(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
             #: the per-digest representative is chosen *after* the round,
             #: by index, so completion order (thread/process backends)
             #: cannot change which cell gets reduced
-            round_positives: List[Tuple[int, Cell]] = []
+            round_positives: List[Tuple[int, CellSpec]] = []
 
-            def land(index: int, item: Cell, record: Dict[str, object]):
+            def land(index: int, spec: CellSpec, record: Dict[str, object]):
                 nonlocal ok_cells
                 if record.get("status") == "ok":
                     ok_cells += 1
                 if record.get("verdict") == "positive":
-                    round_positives.append((index, item))
+                    round_positives.append((index, spec))
 
-            for index, item, record in replayed:
-                land(index, item, record)
-                yield cell_event(index, item, record, True)
+            for index, spec, record in replayed:
+                land(index, spec, record)
+                yield _cell_event(index, spec, record, True, plan)
 
-            producer = _run_pending(
-                pending, plan, ctx.evaluate, ctx.pool_task, _pool_cell
-            )
+            producer = _run_pending(pending, plan, ctx)
             try:
-                for index, item, record in producer:
-                    if record.get("source_simulated"):
-                        ctx.simulated_sources.add(ctx.source_key_of(item[0]))
-                    record = annotate(record, item[0].digest())
+                for index, spec, record in producer:
+                    # stamp hunt mode + mutation lineage (the scheduler
+                    # state never leaves this process)
+                    record = dict(record, mode="hunt")
+                    record.update(
+                        scheduler.lineage(spec.litmus.digest()).as_record()
+                    )
                     if store is not None:
                         store.put(record)
-                    land(index, item, record)
-                    yield cell_event(index, item, record, False)
+                    land(index, spec, record)
+                    yield _cell_event(index, spec, record, False, plan)
             finally:
                 producer.close()
 
             # events may have landed in completion order; reduction (and
             # the next round's feedback) must not depend on it
-            for index, item in sorted(round_positives):
-                digest = item[0].digest()
+            for index, spec in sorted(round_positives, key=lambda p: p[0]):
+                digest = spec.litmus.digest()
                 if digest not in positive_digests:
                     positive_digests.add(digest)
-                    positive_cells.append((index, item))
+                    positive_cells.append((index, spec))
 
             if round_index < plan.mutation_rounds:
                 scheduled = scheduler.next_round(positive_digests)
@@ -909,30 +659,30 @@ def iter_hunt(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
             round_index += 1
 
         if plan.reduce:
-            for index, item in positive_cells:
-                litmus, arch, opt, compiler = item
-                digest = litmus.digest()
-                profile = make_profile(
-                    compiler, opt, arch, epochs=session.epochs
-                )
+            for index, spec in positive_cells:
+                profiles = spec.profiles(session.epochs)
+
+                # the reduction oracle: "run_tv still says positive",
+                # straight through the session's toolchain (per-stage
+                # cache) — deliberately *not* through the result cache,
+                # whose hit counter feeds report parity and must only
+                # ever count campaign cells
+                def check(candidate: CLitmus) -> bool:
+                    result = run_cell(
+                        replace(spec, litmus=candidate), ctx.toolchain,
+                        profiles,
+                    )
+                    return result.verdict == "positive"
+
                 try:
-                    reduction = reduce_test(litmus, reduction_check(profile))
+                    reduction = reduce_test(spec.litmus, check)
                 except ReductionError:
                     # the stored verdict said positive but the oracle
                     # disagrees (e.g. a stale store) — nothing to reduce
                     continue
-                record = _verdict_record(
-                    reduction.reduced, arch, opt, compiler, source_model,
-                    augment, budget_candidates,
-                    lambda: campaign_mod.test_compilation(
-                        reduction.reduced,
-                        profile,
-                        source_model=session.model(source_model),
-                        target_model=session.arch_model(profile.arch),
-                        augment=augment,
-                        budget=Budget(max_candidates=budget_candidates),
-                        toolchain=ctx.toolchain,
-                    ),
+                reduced = replace(spec, litmus=reduction.reduced)
+                record = shape_record(
+                    reduced, lambda: run_cell(reduced, ctx.toolchain, profiles)
                 )
                 record["mode"] = "hunt"
                 record.update(reduction.lineage())
@@ -943,8 +693,8 @@ def iter_hunt(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
                 if store is not None:
                     store.put(record)
                 yield TestReduced(
-                    test=litmus.name,
-                    digest=digest,
+                    test=spec.litmus.name,
+                    digest=spec.litmus.digest(),
                     reduced_name=reduction.reduced.name,
                     reduced_digest=reduction.reduced.digest(),
                     original_statements=reduction.original_statements,
@@ -955,7 +705,7 @@ def iter_hunt(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
                 )
 
         yield CampaignFinished(
-            source_model=source_model,
+            source_model=plan.source_model,
             compiled_tests=ok_cells,
             elapsed_seconds=time.perf_counter() - start,
             source_sim_keys=frozenset(ctx.simulated_sources),

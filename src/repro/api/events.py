@@ -9,9 +9,9 @@ fuzzing loops, and services can react mid-run.  The stream grammar is::
 with two hunt-mode extras interleaved — :class:`HuntProgress` after each
 mutation round's cells and :class:`TestReduced` once per minimised
 positive — and :func:`repro.api.fold_events` folds any complete stream
-back into the legacy :class:`~repro.pipeline.campaign.CampaignReport`,
-byte-for-byte identical to what ``run_campaign`` used to return
-(hunt extras fold as annotations: they never change cell tallies).
+back into the batch :class:`~repro.pipeline.campaign.CampaignReport`,
+byte-for-byte whatever the backend or completion order (hunt extras
+fold as annotations: they never change cell tallies).
 
 Every event is a frozen dataclass with an :meth:`as_dict` JSON projection
 (the CLI's ``--json`` output is exactly one event per line).

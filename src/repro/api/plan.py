@@ -1,10 +1,10 @@
 """The frozen, validated campaign plan.
 
-``run_campaign`` grew sixteen loose keyword arguments across PRs 1 and 2;
-:class:`CampaignPlan` absorbs them into one immutable value that is
-validated *once*, up front — bad shards, impossible opt levels or
-process/cache combinations fail before any simulation starts, with
-did-you-mean quality errors instead of a half-finished campaign.
+:class:`CampaignPlan` holds everything one campaign run needs in one
+immutable value that is validated *once*, up front — bad shards,
+impossible opt levels or worker combinations fail before any simulation
+starts, with did-you-mean quality errors instead of a half-finished
+campaign.
 
 Plans are plain data: hashable-free (tests are unhashable lists) but
 frozen, shareable between sessions, and splittable into deterministic
@@ -49,8 +49,8 @@ MODES = ("tv", "differential", "hunt")
 class PlanError(ReproError, ValueError):
     """A campaign plan failed validation.
 
-    Subclasses :class:`ValueError` so callers of the legacy
-    ``run_campaign`` shim keep catching what they always caught.
+    Subclasses :class:`ValueError`, so plain ``except ValueError``
+    callers catch it too.
     """
 
 

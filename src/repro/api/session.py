@@ -59,8 +59,6 @@ class Session:
         budget_candidates: default enumeration budget for
             :meth:`test` calls that pass no explicit budget
             (``None`` = unbudgeted, the engine default).
-        source_cache / result_cache: share caches *across* sessions (a
-            re-run service); by default each session gets fresh ones.
         artifact_cache_entries: per-stage bound on the toolchain's
             artifact cache (compiled objects, listings and outcome sets
             are heavyweight — unbounded, the cache grows linearly with
@@ -74,8 +72,6 @@ class Session:
         *,
         store: Optional[Union[str, "os.PathLike[str]", CampaignStore]] = None,
         budget_candidates: Optional[int] = None,
-        source_cache: Optional[SourceSimCache] = None,
-        result_cache: Optional[ResultCache] = None,
         artifact_cache_entries: Optional[int] = 4096,
     ) -> None:
         #: per-session registry overlays — register here without
@@ -98,15 +94,10 @@ class Session:
             cache=ArtifactCache(max_entries=artifact_cache_entries),
         )
 
-        self.caches_explicit = (
-            source_cache is not None or result_cache is not None
-        )
-        self.source_cache = (
-            source_cache if source_cache is not None else SourceSimCache()
-        )
-        self.result_cache = (
-            result_cache if result_cache is not None else ResultCache()
-        )
+        #: the in-memory caches every campaign in this session shares:
+        #: hoisted source simulations and whole-cell results
+        self.source_cache = SourceSimCache()
+        self.result_cache = ResultCache()
         if store is not None and not isinstance(store, CampaignStore):
             store = CampaignStore(store)
         self.store: Optional[CampaignStore] = store
@@ -347,9 +338,8 @@ class Session:
         budget: Optional[Budget] = None,
         source_result=None,
     ) -> TelechatResult:
-        """Run test_tv on one C litmus test — the session-scoped
-        replacement for the deprecated module-level ``test_compilation``.
-        """
+        """Run test_tv on one C litmus test through the session's
+        registries and staged toolchain."""
         resolved_profile = self.profile(profile)
         if budget is None and self.budget_candidates is not None:
             budget = Budget(max_candidates=self.budget_candidates)
@@ -455,7 +445,7 @@ class Session:
         Returns a :class:`CampaignStream`: iterate it for live
         ``CampaignStarted`` / ``CellFinished`` / ``CampaignFinished``
         events, or call ``.report()`` to drain it into the batch
-        :class:`CampaignReport` (byte-for-byte the legacy report).
+        :class:`CampaignReport`.
         """
         return CampaignStream(iter_campaign(plan, self))
 

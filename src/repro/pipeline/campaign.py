@@ -1,4 +1,4 @@
-"""Campaign reports, caches and verdict records (paper Table IV).
+"""Campaign reports, caches, cell specs and verdict records (paper Table IV).
 
 The campaign *runner* lives in :mod:`repro.api.engine`; this module owns
 the batch-side vocabulary every backend and mode shares:
@@ -10,10 +10,11 @@ the batch-side vocabulary every backend and mode shares:
   in-memory caches (keyed by :meth:`CLitmus.digest` content identity,
   never test names, so two different tests named ``LB001`` can't share
   a verdict);
-* the verdict-record shapers (``_verdict_record``/``_shape_record``) —
-  the single status contract the serial, thread and process backends
-  and the persistent store all speak;
-* the deprecated batch shim :func:`run_campaign`.
+* :class:`CellSpec` — one cell of any campaign mode as a frozen,
+  picklable value: the work-list item, the store key and the identity
+  half of its verdict record;
+* :func:`shape_record` — the single status contract the serial, thread
+  and process backends and the persistent store all speak.
 
 The reproduction target is the *shape* of Table IV, whatever the suite
 size: positives only on Armv8, Armv7, RISC-V and PowerPC (the Fig. 7
@@ -25,13 +26,6 @@ for GCC ``-O1`` on Armv7 (the deleted control dependency, masked at
 
 from __future__ import annotations
 
-# The executors are re-exported module attributes, not mere imports: this
-# module's namespace is the campaign engine's historical
-# extension/monkeypatch surface.  The streaming engine in
-# :mod:`repro.api.engine` late-binds ``campaign.ThreadPoolExecutor``,
-# ``campaign.ProcessPoolExecutor`` and ``campaign.test_compilation`` so
-# tests and embedders can swap them here, exactly as they always have.
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -41,25 +35,19 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from ..compiler.profiles import (
     GCC_OPT_LEVELS,
     LLVM_OPT_LEVELS,
+    CompilerProfile,
     make_profile,
+    parse_profile,
 )
 from ..core.cache import KeyedCache
 from ..core.errors import ReproError, SimulationTimeout
 from ..lang.ast import CLitmus
-from ..tools.diy import DiyConfig
-from .store import STORE_SCHEMA, CampaignStore
-from .telechat import TelechatResult
-# bound as a module attribute — and NOT the deprecation shim — for the
-# same late-binding reason as the executors above
-from .telechat import run_test_tv as test_compilation  # noqa: F401
-# the differential cell evaluator, same late-binding surface
-from .telechat import run_differential  # noqa: F401
+from .store import STORE_SCHEMA, cell_key
 
 #: Table IV's column order.
 CAMPAIGN_OPTS = ("-O1", "-O2", "-O3", "-Ofast", "-Og")
@@ -119,11 +107,6 @@ class CampaignCell:
         self.errors += other.errors
 
 
-# the campaign caches' exactly-once contract now lives in core; the old
-# private name stays bound for embedders that reached for it
-_KeyedCache = KeyedCache
-
-
 class SourceSimCache(KeyedCache):
     """Source-side simulations keyed by
     ``(test digest, source_model, augment, budget_candidates)``.
@@ -142,9 +125,9 @@ class ResultCache(KeyedCache):
     """Full test_tv results keyed by
     ``(test digest, profile, source_model, augment, budget_candidates)``.
 
-    Within one campaign every key is unique; share one instance across
-    ``run_campaign`` calls (re-runs, Claim-4 style model sweeps over the
-    same suite) to skip already-tested cells entirely.  The campaign
+    Within one campaign every key is unique; a session's instance spans
+    all its runs (re-runs, Claim-4 style model sweeps over the same
+    suite), so already-tested cells are skipped entirely.  The campaign
     parameters that change a cell's result are part of the key, so a
     re-run with a different budget or augmentation re-simulates instead
     of replaying stale verdicts (or stale timeouts) — and the *content*
@@ -361,41 +344,88 @@ def _profile_name(compiler: str, opt: str, arch: str) -> str:
         return f"{compiler}-{opt.lstrip('-')}-{arch}"
 
 
-def _base_record(
-    litmus: CLitmus,
-    arch: str,
-    opt: str,
-    compiler: str,
-    source_model: str,
-    augment: bool,
-    budget_candidates: int,
-) -> Dict[str, object]:
-    """The identity half of a verdict record (see :mod:`.store`)."""
-    return {
-        "schema": STORE_SCHEMA,
-        "digest": litmus.digest(),
-        "test": litmus.name,
-        "arch": arch,
-        "opt": opt,
-        "compiler": compiler,
-        "profile": _profile_name(compiler, opt, arch),
-        "source_model": source_model,
-        "augment": bool(augment),
-        "budget_candidates": budget_candidates,
-    }
+@dataclass(frozen=True)
+class CellSpec:
+    """One campaign cell: everything its verdict record depends on.
+
+    A tv cell is (test × arch × opt × compiler).  A differential cell
+    carries its two profile specs in ``pair``, with ``opt="diff"`` and
+    ``compiler="<spec_a>|<spec_b>"`` — so shard merging, store replay and
+    event folding tally both modes under one ``(arch, opt, compiler)``
+    key.  The spec is a plain value: the serial, thread and process
+    backends all evaluate the same object.
+    """
+
+    litmus: CLitmus
+    arch: str
+    opt: str
+    compiler: str
+    source_model: str
+    augment: bool
+    budget_candidates: int
+    pair: Optional[Tuple[str, str]] = None
+
+    @property
+    def profile(self) -> str:
+        """The profile label records and store keys carry (the pair
+        label stands in for a differential cell, so both modes persist
+        through the one store format)."""
+        if self.pair:
+            return self.compiler
+        return _profile_name(self.compiler, self.opt, self.arch)
+
+    def store_key(self) -> str:
+        return cell_key(
+            self.litmus.digest(), self.profile, self.source_model,
+            self.augment, self.budget_candidates,
+        )
+
+    def profiles(self, epochs=None) -> Tuple[CompilerProfile, ...]:
+        """The cell's compiler profile(s), resolved against ``epochs``
+        (a session overlay; ``None`` resolves against the globals)."""
+        if self.pair:
+            return tuple(
+                parse_profile(spec, epochs=epochs) for spec in self.pair
+            )
+        return (
+            make_profile(self.compiler, self.opt, self.arch, epochs=epochs),
+        )
+
+    def base_record(self) -> Dict[str, object]:
+        """The identity half of the cell's verdict record (see
+        :mod:`.store`)."""
+        record: Dict[str, object] = {
+            "schema": STORE_SCHEMA,
+            "digest": self.litmus.digest(),
+            "test": self.litmus.name,
+            "arch": self.arch,
+            "opt": self.opt,
+            "compiler": self.compiler,
+            "profile": self.profile,
+            "source_model": self.source_model,
+            "augment": bool(self.augment),
+            "budget_candidates": self.budget_candidates,
+        }
+        if self.pair:
+            record.update(
+                mode="differential", profile_a=self.pair[0],
+                profile_b=self.pair[1],
+            )
+        return record
 
 
-def _shape_record(
-    base: Dict[str, object], produce_result: Callable
+def shape_record(
+    spec: CellSpec, produce_result: Callable
 ) -> Dict[str, object]:
-    """Run one cell producer and shape its outcome onto ``base``.
+    """Run one cell producer and shape its outcome as the cell's record.
 
     The single status contract shared by every execution backend *and*
-    both campaign modes — serial, thread pool and process pool must emit
+    every campaign mode — serial, thread pool and process pool must emit
     byte-identical record shapes or the store would replay whichever
     backend wrote last, and a new status class added here reaches tv and
     differential records together.
     """
+    base = spec.base_record()
     try:
         result = produce_result()
     except SimulationTimeout:
@@ -404,85 +434,9 @@ def _shape_record(
         return dict(base, status="error")
     record = dict(base, status="ok")
     record.update(result.to_record())
+    if spec.pair:
+        # identity fields win over the result's name-based rendering: plan
+        # profile *specs* may carry a version suffix profile names drop
+        for name in ("profile", "profile_a", "profile_b", "source_model"):
+            record[name] = base[name]
     return record
-
-
-def _verdict_record(
-    litmus: CLitmus,
-    arch: str,
-    opt: str,
-    compiler: str,
-    source_model: str,
-    augment: bool,
-    budget_candidates: int,
-    produce_result: Callable[[], TelechatResult],
-) -> Dict[str, object]:
-    """Run one tv cell and shape its outcome as a verdict record."""
-    return _shape_record(
-        _base_record(
-            litmus, arch, opt, compiler, source_model, augment,
-            budget_candidates,
-        ),
-        produce_result,
-    )
-
-
-def run_campaign(
-    tests: Optional[Sequence[CLitmus]] = None,
-    config: Optional[DiyConfig] = None,
-    arches: Sequence[str] = tuple(a for a, _ in ARCH_DISPLAY),
-    opts: Sequence[str] = ("-O1", "-O2", "-O3"),
-    compilers: Sequence[str] = ("llvm", "gcc"),
-    source_model: str = "rc11",
-    budget_candidates: int = 400_000,
-    augment: bool = True,
-    workers: int = 1,
-    processes: int = 0,
-    source_cache: Optional[SourceSimCache] = None,
-    result_cache: Optional[ResultCache] = None,
-    store: Optional[Union[str, CampaignStore]] = None,
-    resume: bool = False,
-    shard: Optional[Tuple[int, int]] = None,
-) -> CampaignReport:
-    """Deprecated batch shim over the streaming campaign engine.
-
-    .. deprecated::
-        Use ``Session().run(CampaignPlan(...))`` — or, for streaming,
-        ``Session().campaign(plan)`` — from :mod:`repro.api`.  This shim
-        survives for external callers only (README: deprecation policy);
-        calling it from inside :mod:`repro` raises.
-
-    It no longer contains a campaign runner: every keyword argument maps
-    onto a :class:`repro.api.CampaignPlan` field, the plan runs in a
-    throwaway :class:`repro.api.Session` (carrying the given caches and
-    ``store``), and the event stream folds back into the
-    :class:`CampaignReport` this function always returned.  The
-    historical ``ValueError`` contracts (resume-without-store, process
-    pool + in-memory caches, bad shard) are enforced by the plan and the
-    engine — :class:`~repro.api.PlanError` subclasses ``ValueError``
-    with the same messages.  Campaign semantics (hoisted source
-    simulation, worker pools, store replay, shard merging) are
-    documented on the plan and engine, not here.
-    """
-    from ..api import CampaignPlan, Session
-    from ..api._deprecation import warn_deprecated
-
-    warn_deprecated("run_campaign()", "Session.campaign(CampaignPlan(...))")
-    plan = CampaignPlan(
-        tests=None if tests is None else tuple(tests),
-        config=config,
-        arches=tuple(arches),
-        opts=tuple(opts),
-        compilers=tuple(compilers),
-        source_model=source_model,
-        budget_candidates=budget_candidates,
-        augment=augment,
-        workers=max(1, workers),
-        processes=max(0, processes),
-        shard=shard,
-        resume=resume,
-    )
-    session = Session(
-        store=store, source_cache=source_cache, result_cache=result_cache
-    )
-    return session.campaign(plan).report()

@@ -9,7 +9,7 @@ and one compiler profile::
 Since the toolchain redesign this module is a thin composition layer:
 the chain itself lives in :mod:`repro.toolchain` as typed, individually
 cached stages, and both entry points here — :func:`run_test_tv` and
-:func:`differential_outcomes` — build on the same
+:func:`run_differential` — build on the same
 :class:`~repro.toolchain.Toolchain` graph.  The historical result and
 serialisation types (:class:`TelechatResult`,
 :func:`outcomes_to_jsonable`, …) are re-exported from
@@ -18,7 +18,7 @@ serialisation types (:class:`TelechatResult`,
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 from ..cat.interp import Model
 from ..herd.enumerate import Budget
@@ -33,7 +33,6 @@ from ..toolchain.results import (  # noqa: F401  (re-exports: the store/tests im
     outcomes_from_jsonable,
     outcomes_to_jsonable,
 )
-from ..tools.mcompare import ComparisonResult
 
 
 def run_test_tv(
@@ -91,42 +90,6 @@ def run_test_tv(
     )
 
 
-def test_compilation(
-    litmus: CLitmus,
-    profile: CompilerProfile,
-    source_model: Union[str, Model] = "rc11",
-    target_model: Optional[Union[str, Model]] = None,
-    augment: bool = True,
-    optimise: bool = True,
-    unroll: int = 2,
-    budget: Optional[Budget] = None,
-    source_result: Optional[SimulationResult] = None,
-    toolchain: Optional[Toolchain] = None,
-) -> TelechatResult:
-    """Deprecated alias of :func:`run_test_tv`.
-
-    Use :meth:`repro.api.Session.test` (session-scoped registries and
-    caches) or :func:`run_test_tv` (bare engine call).  Calling this shim
-    from inside :mod:`repro` raises — internal code must not depend on
-    entry points the public API deprecates.
-    """
-    from ..api._deprecation import warn_deprecated
-
-    warn_deprecated("test_compilation()", "Session.test() or run_test_tv()")
-    return run_test_tv(
-        litmus,
-        profile,
-        source_model=source_model,
-        target_model=target_model,
-        augment=augment,
-        optimise=optimise,
-        unroll=unroll,
-        budget=budget,
-        source_result=source_result,
-        toolchain=toolchain,
-    )
-
-
 def run_differential(
     litmus: CLitmus,
     profile_a: CompilerProfile,
@@ -162,47 +125,3 @@ def run_differential(
         source_result=source_result,
     )
 
-
-# the names match pytest's default collection pattern; these are library
-# entry points, not tests
-test_compilation.__test__ = False  # type: ignore[attr-defined]
-run_test_tv.__test__ = False  # type: ignore[attr-defined]
-
-
-def differential_outcomes(
-    litmus: CLitmus,
-    profile_a: CompilerProfile,
-    profile_b: CompilerProfile,
-    augment: bool = True,
-    budget: Optional[Budget] = None,
-    optimise: bool = True,
-    unroll: int = 2,
-    source_model: Optional[Union[str, Model]] = None,
-    target_model: Optional[Union[str, Model]] = None,
-    toolchain: Optional[Toolchain] = None,
-) -> Tuple[SimulationResult, SimulationResult, ComparisonResult]:
-    """Differential testing, legacy tuple shape (see :func:`run_differential`).
-
-    A difference between compilers is a *compatibility* risk: code from
-    both is routinely linked together.
-
-    Historically this hand-rolled its own chain and silently dropped the
-    ``optimise``/``stats`` arguments of ``assembly_to_litmus`` (and never
-    exposed ``unroll``/``source_model``), so differential runs exercised
-    a different s2l path than single-profile runs.  It is now the same
-    :meth:`Toolchain.run_differential` composition, so both paths produce
-    identical compiled litmus tests for the same profile.
-    """
-    result = run_differential(
-        litmus,
-        profile_a,
-        profile_b,
-        source_model=source_model,
-        target_model=target_model,
-        augment=augment,
-        optimise=optimise,
-        unroll=unroll,
-        budget=budget,
-        toolchain=toolchain,
-    )
-    return result.result_a, result.result_b, result.comparison

@@ -2,7 +2,6 @@
 stream↔batch parity guarantee."""
 
 import json
-import warnings
 
 import pytest
 
@@ -17,8 +16,7 @@ from repro.api import (
     fold_events,
 )
 from repro.cat.registry import MODELS, get_source
-from repro.pipeline.campaign import ResultCache, SourceSimCache, run_campaign
-from repro.tools.diy import DiyConfig, build_test, get_shape
+from repro.tools.diy import DiyConfig, build_test, get_shape, small_config
 
 CONFIG = DiyConfig(
     shapes=("LB",), orders=("rlx",), fences=(None,),
@@ -38,13 +36,12 @@ def report_bytes(report):
     ).encode()
 
 
-def legacy_run(**kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return run_campaign(
-            config=CONFIG, arches=PLAN.arches, opts=PLAN.opts,
-            compilers=PLAN.compilers, **kwargs,
-        )
+def batch_run(**kwargs):
+    """The batch API: one plan, run and folded in a throwaway session."""
+    return Session().run(CampaignPlan(
+        config=CONFIG, arches=PLAN.arches, opts=PLAN.opts,
+        compilers=PLAN.compilers, **kwargs,
+    ))
 
 
 # --------------------------------------------------------------------------- #
@@ -67,14 +64,6 @@ class TestPlanValidation:
     def test_resume_without_store(self):
         with pytest.raises(PlanError, match="needs a store"):
             Session().campaign(CampaignPlan(config=CONFIG, resume=True))
-
-    def test_process_pool_with_in_memory_caches(self):
-        session = Session(result_cache=ResultCache())
-        with pytest.raises(PlanError, match="not shared with worker"):
-            session.campaign(CampaignPlan(config=CONFIG, processes=2))
-        session = Session(source_cache=SourceSimCache())
-        with pytest.raises(PlanError, match="not shared with worker"):
-            session.campaign(CampaignPlan(config=CONFIG, processes=2))
 
     def test_structural_bounds(self):
         with pytest.raises(PlanError, match="workers"):
@@ -191,12 +180,12 @@ class TestEventStream:
 # --------------------------------------------------------------------------- #
 class TestParity:
     @pytest.fixture(scope="class")
-    def legacy_serial(self):
-        return legacy_run()
+    def batch_serial(self):
+        return batch_run()
 
-    def test_serial_parity(self, legacy_serial):
+    def test_serial_parity(self, batch_serial):
         folded = Session().campaign(PLAN).report()
-        assert report_bytes(folded) == report_bytes(legacy_serial)
+        assert report_bytes(folded) == report_bytes(batch_serial)
 
     def test_thread_parity(self):
         plan = CampaignPlan(
@@ -204,7 +193,7 @@ class TestParity:
             compilers=PLAN.compilers, workers=4,
         )
         folded = Session().campaign(plan).report()
-        assert report_bytes(folded) == report_bytes(legacy_run(workers=4))
+        assert report_bytes(folded) == report_bytes(batch_run(workers=4))
 
     def test_process_parity(self):
         plan = CampaignPlan(
@@ -212,9 +201,9 @@ class TestParity:
             compilers=PLAN.compilers, processes=2,
         )
         folded = Session().campaign(plan).report()
-        assert report_bytes(folded) == report_bytes(legacy_run(processes=2))
+        assert report_bytes(folded) == report_bytes(batch_run(processes=2))
 
-    def test_serial_thread_process_agree(self, legacy_serial):
+    def test_serial_thread_process_agree(self, batch_serial):
         """All three backends fold to the identical Table IV bytes."""
         serial = Session().campaign(PLAN).report()
         threaded = Session().campaign(
@@ -226,6 +215,28 @@ class TestParity:
         a, b = serial.to_jsonable(include_timing=False), threaded.to_jsonable(include_timing=False)
         a["workers"] = b["workers"] = 0
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    @pytest.mark.parametrize("budget,timeouts", [(2, 14), (5, 2)])
+    def test_backend_parity_under_timeouts(self, budget, timeouts):
+        """Serial, thread and process backends fold to the same bytes when
+        cells time out — source simulations included, which a worker
+        reports from its own toolchain's simulate-source stage."""
+        reports = [
+            Session().run(CampaignPlan(
+                config=small_config(), arches=("aarch64",), opts=("-O2",),
+                budget_candidates=budget, **backend,
+            ))
+            for backend in ({}, {"workers": 2}, {"processes": 2})
+        ]
+        folded = set()
+        for report in reports:
+            data = report.to_jsonable(include_timing=False)
+            data["workers"] = data["processes"] = 0
+            folded.add(json.dumps(data, sort_keys=True))
+        assert len(folded) == 1
+        serial = reports[0]
+        assert sum(c.timeouts for c in serial.cells.values()) == timeouts
+        assert serial.source_simulations == 7
 
     def test_sharded_stream_merges_to_single_run(self):
         session = Session()
@@ -458,44 +469,3 @@ class TestSession:
         assert {k: vars(v) for k, v in report.cells.items()} == \
                {k: vars(v) for k, v in cold.cells.items()}
         assert report.positives == cold.positives
-
-
-# --------------------------------------------------------------------------- #
-# the deprecation shims
-# --------------------------------------------------------------------------- #
-class TestDeprecationShims:
-    def test_run_campaign_warns_external_callers(self):
-        with pytest.warns(DeprecationWarning, match="run_campaign"):
-            run_campaign(
-                tests=[build_test(get_shape("LB"), "rlx", name="LB001")],
-                arches=("aarch64",), opts=("-O2",), compilers=("llvm",),
-            )
-
-    def test_test_compilation_warns_external_callers(self):
-        from repro.pipeline.telechat import test_compilation
-
-        with pytest.warns(DeprecationWarning, match="test_compilation"):
-            test_compilation(
-                build_test(get_shape("LB"), "rlx", name="LB001"),
-                Session().profile("llvm-O2-AArch64"),
-            )
-
-    def test_promoted_to_error_inside_repro(self):
-        """A shim called from a repro-internal module raises instead of
-        warning — internal code cannot depend on what it deprecates."""
-        from repro.pipeline.telechat import test_compilation
-
-        fake_internals = {
-            "__name__": "repro.pipeline.fake_caller",
-            "test_compilation": test_compilation,
-        }
-        exec(
-            "def call_shim(*args, **kwargs):\n"
-            "    return test_compilation(*args, **kwargs)\n",
-            fake_internals,
-        )
-        with pytest.raises(DeprecationWarning, match="inside repro"):
-            fake_internals["call_shim"](
-                build_test(get_shape("LB"), "rlx", name="LB001"),
-                Session().profile("llvm-O2-AArch64"),
-            )

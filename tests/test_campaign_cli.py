@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.pipeline.campaign import CampaignCell, CampaignReport, run_campaign
+from repro.api import CampaignPlan, Session
+from repro.pipeline.campaign import CampaignCell, CampaignReport
 from repro.pipeline.cli import build_parser, main
 from repro.tools.diy import DiyConfig
 
@@ -17,13 +18,13 @@ def small_report():
         deps=("po", "ctrl2"),
         variants=("load-store",),
     )
-    return run_campaign(
+    return Session().run(CampaignPlan(
         config=config,
         arches=("aarch64", "armv7", "x86_64", "mips64"),
         opts=("-O1", "-O2"),
         compilers=("llvm", "gcc"),
         source_model="rc11",
-    )
+    ))
 
 
 class TestCampaign:
@@ -53,10 +54,10 @@ class TestCampaign:
         config = DiyConfig(shapes=("SB", "LB"), orders=("rlx",),
                            fences=(None,), deps=("po",),
                            variants=("load-store",))
-        report = run_campaign(
+        report = Session().run(CampaignPlan(
             config=config, arches=("mips64", "x86_64"), opts=("-O2",),
             compilers=("llvm",), source_model="rc11+lb",
-        )
+        ))
         assert report.total_negative("mips64") > 0
         assert report.total_negative("x86_64") > 0
         assert report.total_positive() == 0
@@ -76,10 +77,10 @@ class TestCampaign:
         """Claim 4, at campaign scale."""
         config = DiyConfig(shapes=("LB",), orders=("rlx",), fences=(None,),
                            deps=("po",), variants=("load-store",))
-        report = run_campaign(
+        report = Session().run(CampaignPlan(
             config=config, arches=("aarch64", "ppc64"), opts=("-O2",),
             compilers=("llvm",), source_model="rc11+lb",
-        )
+        ))
         assert report.total_positive() == 0
 
     def test_cell_records(self):

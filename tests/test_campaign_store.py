@@ -6,16 +6,11 @@ import json
 
 import pytest
 
+from repro.api import CampaignPlan, Session
+from repro.api import engine as engine_module
 from repro.lang.parser import parse_c_litmus
 from repro.lang.printer import print_c_litmus
-from repro.pipeline import campaign as campaign_module
-from repro.pipeline.campaign import (
-    CampaignCell,
-    ResultCache,
-    SourceSimCache,
-    merge_reports,
-    run_campaign,
-)
+from repro.pipeline.campaign import CampaignCell, merge_reports
 from repro.pipeline.store import STORE_SCHEMA, CampaignStore, cell_key, record_key
 from repro.pipeline.telechat import (
     comparison_from_record,
@@ -34,8 +29,13 @@ OPTS = ("-O1", "-O2")
 COMPILERS = ("llvm", "gcc")
 
 
+def run_plan(store=None, **fields):
+    """One plan, run and folded in a fresh session over ``store``."""
+    return Session(store=store).run(CampaignPlan(**fields))
+
+
 def small_run(**kwargs):
-    return run_campaign(config=CONFIG, arches=ARCHES, opts=OPTS,
+    return run_plan(config=CONFIG, arches=ARCHES, opts=OPTS,
                         compilers=COMPILERS, **kwargs)
 
 
@@ -80,17 +80,15 @@ class TestCacheIdentity:
         verdicts for the second)."""
         relaxed = build_test(get_shape("LB"), "rlx", name="LB001")
         strong = build_test(get_shape("LB"), "sc", name="LB001")
-        source_cache, result_cache = SourceSimCache(), ResultCache()
-        first = run_campaign(
+        session = Session()
+        first = session.run(CampaignPlan(
             tests=[relaxed], arches=("aarch64",), opts=("-O2",),
             compilers=("llvm",),
-            source_cache=source_cache, result_cache=result_cache,
-        )
-        second = run_campaign(
+        ))
+        second = session.run(CampaignPlan(
             tests=[strong], arches=("aarch64",), opts=("-O2",),
             compilers=("llvm",),
-            source_cache=source_cache, result_cache=result_cache,
-        )
+        ))
         # the relaxed LB shows the positive difference; the seq_cst one
         # must not inherit it from the shared cache
         assert first.total_positive() == 1
@@ -101,14 +99,11 @@ class TestCacheIdentity:
     def test_same_content_different_name_shares_cache(self):
         a = build_test(get_shape("LB"), "rlx", name="LB001")
         b = build_test(get_shape("LB"), "rlx", name="LB999")
-        source_cache, result_cache = SourceSimCache(), ResultCache()
-        run_campaign(tests=[a], arches=("aarch64",), opts=("-O2",),
-                     compilers=("llvm",),
-                     source_cache=source_cache, result_cache=result_cache)
-        again = run_campaign(tests=[b], arches=("aarch64",), opts=("-O2",),
-                             compilers=("llvm",),
-                             source_cache=source_cache,
-                             result_cache=result_cache)
+        session = Session()
+        session.run(CampaignPlan(tests=[a], arches=("aarch64",),
+                                 opts=("-O2",), compilers=("llvm",)))
+        again = session.run(CampaignPlan(tests=[b], arches=("aarch64",),
+                                         opts=("-O2",), compilers=("llvm",)))
         assert again.cached_cells == 1
         assert again.source_simulations == 0
         # the report speaks the *current* test's name
@@ -142,7 +137,7 @@ class TestCellVerdicts:
 class TestPoolLifecycle:
     def test_thread_pool_shut_down_on_unexpected_exception(self, monkeypatch):
         pools = []
-        real_pool = campaign_module.ThreadPoolExecutor
+        real_pool = engine_module.ThreadPoolExecutor
 
         def tracking_pool(*args, **kwargs):
             pool = real_pool(*args, **kwargs)
@@ -152,10 +147,10 @@ class TestPoolLifecycle:
         def explode(*args, **kwargs):
             raise RuntimeError("not a simulation failure")
 
-        monkeypatch.setattr(campaign_module, "ThreadPoolExecutor", tracking_pool)
-        monkeypatch.setattr(campaign_module, "test_compilation", explode)
+        monkeypatch.setattr(engine_module, "ThreadPoolExecutor", tracking_pool)
+        monkeypatch.setattr(engine_module, "run_test_tv", explode)
         with pytest.raises(RuntimeError, match="not a simulation failure"):
-            run_campaign(config=CONFIG, arches=("aarch64",), opts=("-O2",),
+            run_plan(config=CONFIG, arches=("aarch64",), opts=("-O2",),
                          compilers=("llvm",), workers=2)
         assert len(pools) == 1
         assert pools[0]._shutdown  # workers released, not leaked
@@ -246,7 +241,7 @@ class TestStore:
         campaign resumes from every cell that finished."""
         path = tmp_path / "campaign.jsonl"
         calls = []
-        real = campaign_module.test_compilation
+        real = engine_module.run_test_tv
 
         def explode_on_third(*args, **kwargs):
             calls.append(1)
@@ -254,20 +249,19 @@ class TestStore:
                 raise RuntimeError("simulated crash")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(campaign_module, "test_compilation",
-                            explode_on_third)
+        monkeypatch.setattr(engine_module, "run_test_tv", explode_on_third)
         with pytest.raises(RuntimeError, match="simulated crash"):
             small_run(store=path)
         survivors = CampaignStore(path)
         assert len(survivors) == 2  # the cells that finished before the crash
         # and a resumed run only re-simulates what the crash swallowed
-        monkeypatch.setattr(campaign_module, "test_compilation", real)
+        monkeypatch.setattr(engine_module, "run_test_tv", real)
         resumed = small_run(store=path, resume=True)
         assert resumed.store_hits == 2
 
     def test_unbuildable_profile_is_an_error_cell_not_an_abort(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
-        report = run_campaign(
+        report = run_plan(
             tests=[build_test(get_shape("LB"), "rlx", name="LB001")],
             arches=("no-such-arch",), opts=("-O2",), compilers=("llvm",),
             store=path,
@@ -290,15 +284,14 @@ class TestStore:
         """One crashing cell must not discard the verdicts of cells the
         pool still ran to completion."""
         path = tmp_path / "campaign.jsonl"
-        real = campaign_module.test_compilation
+        real = engine_module.run_test_tv
 
         def explode_for_gcc(litmus, profile, **kwargs):
             if profile.compiler == "gcc":
                 raise RuntimeError("simulated crash")
             return real(litmus, profile, **kwargs)
 
-        monkeypatch.setattr(campaign_module, "test_compilation",
-                            explode_for_gcc)
+        monkeypatch.setattr(engine_module, "run_test_tv", explode_for_gcc)
         with pytest.raises(RuntimeError, match="simulated crash"):
             small_run(store=path, workers=2)
         survivors = CampaignStore(path)
@@ -308,13 +301,9 @@ class TestStore:
         )
         assert llvm_cells == len(survivors) > 0
 
-    def test_process_pool_rejects_in_memory_caches(self):
-        with pytest.raises(ValueError, match="not shared with worker"):
-            small_run(processes=2, result_cache=ResultCache())
-
     def test_store_path_accepted_directly(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
-        report = run_campaign(
+        report = run_plan(
             tests=[build_test(get_shape("LB"), "rlx", name="LB001")],
             arches=("aarch64",), opts=("-O2",), compilers=("llvm",),
             store=str(path),
@@ -375,7 +364,7 @@ class TestShardMerge:
 
     def test_merge_rejects_mixed_models(self):
         a = small_run(shard=(0, 2))
-        b = run_campaign(config=CONFIG, arches=ARCHES, opts=OPTS,
+        b = run_plan(config=CONFIG, arches=ARCHES, opts=OPTS,
                          compilers=COMPILERS, source_model="rc11+lb",
                          shard=(1, 2))
         with pytest.raises(ValueError, match="source models"):
@@ -387,9 +376,9 @@ class TestShardMerge:
 # --------------------------------------------------------------------------- #
 class TestProcessPool:
     def test_process_pool_matches_serial(self):
-        serial = run_campaign(config=CONFIG, arches=("aarch64", "armv7"),
+        serial = run_plan(config=CONFIG, arches=("aarch64", "armv7"),
                               opts=("-O2",), compilers=("llvm",))
-        parallel = run_campaign(config=CONFIG, arches=("aarch64", "armv7"),
+        parallel = run_plan(config=CONFIG, arches=("aarch64", "armv7"),
                                 opts=("-O2",), compilers=("llvm",),
                                 processes=2)
         assert parallel.processes == 2
@@ -403,9 +392,9 @@ class TestProcessPool:
 
     def test_process_pool_fills_a_store_resumable_in_process(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
-        cold = run_campaign(config=CONFIG, arches=("aarch64",), opts=("-O2",),
+        cold = run_plan(config=CONFIG, arches=("aarch64",), opts=("-O2",),
                             compilers=("llvm",), processes=2, store=path)
-        warm = run_campaign(config=CONFIG, arches=("aarch64",), opts=("-O2",),
+        warm = run_plan(config=CONFIG, arches=("aarch64",), opts=("-O2",),
                             compilers=("llvm",), store=path, resume=True)
         assert warm.store_hits == sum(c.total for c in cold.cells.values())
         assert warm.source_simulations == 0

@@ -5,10 +5,8 @@ import pytest
 from repro.compiler import make_profile
 from repro.herd import execution_to_dot, simulate_c, simulation_to_dot
 from repro.papertests import fig1_exchange, fig7_lb
-from repro.pipeline import test_compilation as run_test_tv
+from repro.pipeline import run_test_tv
 from repro.tools.diy import build_test, get_shape, shape_names
-
-run_test_tv.__test__ = False  # type: ignore[attr-defined]
 
 
 class TestDotRendering:

@@ -4,6 +4,7 @@ farm event stream, and the ``telechat farm`` CLI."""
 import json
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -90,9 +91,9 @@ class TestManifest:
     def test_manifest_save_is_deterministic(self, tmp_path):
         manifest = generate_corpus(tmp_path, suites=MINI_SUITES,
                                    profiles=MINI_PROFILES)
-        first = open(manifest.manifest_path, "rb").read()
+        first = Path(manifest.manifest_path).read_bytes()
         manifest.save()
-        assert open(manifest.manifest_path, "rb").read() == first
+        assert Path(manifest.manifest_path).read_bytes() == first
 
 
 # --------------------------------------------------------------------------- #
@@ -241,10 +242,10 @@ class TestFarmStream:
     def test_rebless_is_byte_identical(self, corpus):
         baseline = os.path.join(corpus, "baselines",
                                 "mini--gcc-O1-ARM--rc11.jsonl")
-        first = open(baseline, "rb").read()
+        first = Path(baseline).read_bytes()
         for event in Session().farm(FarmPlan(root=corpus, bless=True)):
             pass
-        assert open(baseline, "rb").read() == first
+        assert Path(baseline).read_bytes() == first
 
 
 class TestFarmPlanValidation:

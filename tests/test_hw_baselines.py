@@ -105,10 +105,10 @@ class TestC4:
 
     def test_telechat_vs_c4_on_same_input(self):
         """T´el´echat (model-based) finds what C4-on-Pi cannot."""
-        from repro.pipeline import test_compilation
+        from repro.pipeline import run_test_tv
 
         profile = make_profile("llvm", "-O3", "aarch64")
-        tele = test_compilation(fig7_lb(), profile)
+        tele = run_test_tv(fig7_lb(), profile)
         c4 = c4_test(fig7_lb(), profile, chip="raspberry-pi",
                      runs=1000, seed=0, stress=True)
         assert tele.found_bug and not c4.found_bug

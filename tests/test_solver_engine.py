@@ -27,7 +27,8 @@ from repro.herd import (
 from repro.lang import parse_c_litmus
 from repro.lang.semantics import elaborate
 from repro.papertests import fig7_lb, fig10_mp_rmw, fig11_lb3
-from repro.pipeline.campaign import ResultCache, SourceSimCache, run_campaign
+from repro.api import CampaignPlan, Session
+from repro.pipeline.campaign import ResultCache
 from repro.tools.diy import DiyConfig
 
 COWW = """
@@ -239,12 +240,12 @@ class TestCampaignCaches:
     )
 
     def test_source_simulated_exactly_once_per_model(self):
-        cache = SourceSimCache()
-        report = run_campaign(
+        session = Session()
+        cache = session.source_cache
+        report = session.run(CampaignPlan(
             config=self.CONFIG, arches=("aarch64", "x86_64"),
             opts=("-O1", "-O2"), compilers=("llvm", "gcc"),
-            source_cache=cache,
-        )
+        ))
         assert report.tests_input > 0
         assert report.source_simulations == report.tests_input
         assert cache.simulations == report.tests_input
@@ -252,17 +253,13 @@ class TestCampaignCaches:
         assert cache.hits == report.compiled_tests - cache.misses
 
     def test_result_cache_skips_repeat_cells(self):
-        source_cache, result_cache = SourceSimCache(), ResultCache()
-        first = run_campaign(
+        session = Session()
+        plan = CampaignPlan(
             config=self.CONFIG, arches=("aarch64",), opts=("-O2",),
             compilers=("llvm",),
-            source_cache=source_cache, result_cache=result_cache,
         )
-        again = run_campaign(
-            config=self.CONFIG, arches=("aarch64",), opts=("-O2",),
-            compilers=("llvm",),
-            source_cache=source_cache, result_cache=result_cache,
-        )
+        first = session.run(plan)
+        again = session.run(plan)
         assert again.source_simulations == 0
         assert again.cached_cells == again.compiled_tests > 0
         assert again.cells.keys() == first.cells.keys()
@@ -271,14 +268,14 @@ class TestCampaignCaches:
             assert cell.negative == first.cells[key].negative
 
     def test_worker_pool_is_deterministic(self):
-        serial = run_campaign(
+        serial = Session().run(CampaignPlan(
             config=self.CONFIG, arches=("aarch64", "armv7"),
             opts=("-O2",), compilers=("llvm",),
-        )
-        threaded = run_campaign(
+        ))
+        threaded = Session().run(CampaignPlan(
             config=self.CONFIG, arches=("aarch64", "armv7"),
             opts=("-O2",), compilers=("llvm",), workers=4,
-        )
+        ))
         assert threaded.workers == 4
         assert threaded.positives == serial.positives
         assert threaded.source_simulations == serial.source_simulations
@@ -306,14 +303,14 @@ class TestCampaignCaches:
 
     def test_telechat_source_reuse_flag(self):
         from repro.compiler import make_profile
-        from repro.pipeline import test_compilation
+        from repro.pipeline import run_test_tv
         from repro.tools.l2c import prepare
 
         litmus = fig7_lb()
         profile = make_profile("llvm", "-O3", "aarch64")
         source = simulate_c(prepare(litmus, augment=True), "rc11")
-        hoisted = test_compilation(litmus, profile, source_result=source)
-        inline = test_compilation(litmus, profile)
+        hoisted = run_test_tv(litmus, profile, source_result=source)
+        inline = run_test_tv(litmus, profile)
         assert hoisted.source_reused and not inline.source_reused
         assert hoisted.verdict == inline.verdict
         # a hoisted source simulation reports the *original* run's cost,

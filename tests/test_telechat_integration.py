@@ -19,11 +19,7 @@ from repro.papertests import (
     fig11_lb3,
     sb_sc,
 )
-from repro.pipeline import differential_outcomes
-from repro.pipeline import test_compilation as run_test_tv
-
-# keep pytest from collecting the imported driver as a test
-run_test_tv.__test__ = False  # type: ignore[attr-defined]
+from repro.pipeline import run_differential, run_test_tv
 
 
 def verdict(litmus, profile, **kwargs):
@@ -259,13 +255,13 @@ class TestDifferentialMode:
     def test_same_compiler_different_levels(self):
         a = make_profile("llvm", "-O1", "aarch64")
         b = make_profile("llvm", "-O3", "aarch64")
-        _, _, comparison = differential_outcomes(fig7_lb(), a, b)
+        comparison = run_differential(fig7_lb(), a, b).comparison
         assert comparison.verdict() == "equal"
 
     def test_cross_compiler(self):
         a = make_profile("llvm", "-O2", "aarch64")
         b = make_profile("gcc", "-O2", "aarch64")
-        _, _, comparison = differential_outcomes(fig7_lb(), a, b)
+        comparison = run_differential(fig7_lb(), a, b).comparison
         assert comparison.verdict() == "equal"
 
     def test_cross_arch_rejected(self):
@@ -274,4 +270,4 @@ class TestDifferentialMode:
         a = make_profile("llvm", "-O2", "aarch64")
         b = make_profile("llvm", "-O2", "x86_64")
         with pytest.raises(ReproError):
-            differential_outcomes(fig7_lb(), a, b)
+            run_differential(fig7_lb(), a, b)

@@ -22,7 +22,7 @@ from repro.compiler.profiles import make_profile
 from repro.core.errors import ReproError
 from repro.papertests import fig7_lb
 from repro.pipeline.store import CampaignStore
-from repro.pipeline.telechat import differential_outcomes
+from repro.pipeline.telechat import run_differential
 from repro.toolchain import (
     STAGES,
     CompareStage,
@@ -126,15 +126,15 @@ class TestDifferentialToolchain:
         assert diff.stats_a.total_removed > 0
         assert diff.stats_b.total_removed > 0
 
-    def test_differential_outcomes_exposes_s2l_controls(self):
-        """The legacy tuple API now threads optimise/unroll/source_model
-        through instead of silently dropping them."""
+    def test_run_differential_exposes_s2l_controls(self):
+        """The differential entry point threads optimise/unroll/
+        source_model through instead of silently dropping them."""
         a = make_profile("llvm", "-O1", "aarch64")
         b = make_profile("llvm", "-O3", "aarch64")
-        opt_a, opt_b, _ = differential_outcomes(fig7_lb(), a, b)
-        raw_a, raw_b, _ = differential_outcomes(
-            fig7_lb(), a, b, optimise=False
-        )
+        opt = run_differential(fig7_lb(), a, b)
+        raw = run_differential(fig7_lb(), a, b, optimise=False)
+        opt_a, opt_b = opt.result_a, opt.result_b
+        raw_a, raw_b = raw.result_a, raw.result_b
         # the outcome sets agree (s2l soundness) even though the raw
         # tests carry GOT/stack traffic the optimised ones dropped
         assert opt_a.outcomes == raw_a.outcomes
