@@ -13,7 +13,7 @@ into event tags by :mod:`repro.asm.semantics`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
 from ...core.registry import Registry
@@ -54,6 +54,9 @@ CONDS = ("eq", "ne", "lt", "le", "gt", "ge")
 AMO_KINDS = ("add", "sub", "or", "and", "xor", "swap")
 
 
+_setattr = object.__setattr__  # writes past the frozen dataclass guard
+
+
 @dataclass(frozen=True)
 class Instruction:
     """One machine instruction in the unified representation.
@@ -85,7 +88,24 @@ class Instruction:
     text: str = ""
 
     def with_text(self, text: str) -> "Instruction":
-        return replace(self, text=text)
+        return self.evolve(text=text)
+
+    def evolve(self, **changes: object) -> "Instruction":
+        """A copy with ``changes`` applied to its fields.
+
+        Copies the field values straight across: ``dataclasses.replace``
+        would re-read every one of the 22 fields through ``fields()`` and
+        re-run ``__init__``, and the disassemble/lift round trip makes one
+        copy per instruction.  Setting the fields in declaration order
+        keeps the instance dict as compact as one ``__init__`` builds.
+        """
+        values = self.__dict__
+        if not changes.keys() <= values.keys():
+            raise TypeError(f"unknown Instruction fields: {sorted(changes.keys() - values.keys())}")
+        out = object.__new__(Instruction)
+        for name, value in values.items():
+            _setattr(out, name, changes.get(name, value))
+        return out
 
     @property
     def is_branch(self) -> bool:

@@ -22,9 +22,14 @@ time; only bitmask arithmetic runs at evaluation time).  For the staged
 solver, :meth:`Model.compile` additionally splits a model into a *static
 prefix* — statements whose free names are derivable from the event
 structure and po/rmw/dependency relations alone — and a *dynamic suffix*
-of rf/co-dependent statements.  The prefix's fused op sequence runs once
-per path combination (see :class:`CompiledModel`); only the suffix's ops
-run per candidate execution.
+of rf/co-dependent statements.  The suffix is then partially evaluated:
+its ``|`` and ``;`` chains are flattened, and every maximal subterm of a
+dynamic statement that reads only static names becomes a fresh binding
+of the prefix.  The prefix's fused op sequence — static statements plus
+those hoisted subterms — runs once per path combination (see
+:class:`CompiledModel`); only the suffix's rf/co-dependent ops run per
+candidate execution, with ``[S]`` operands of ``;`` compiled to row
+masking.
 
 Identity invariants the compiled kernels rely on:
 
@@ -44,10 +49,11 @@ Identity invariants the compiled kernels rely on:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from ..core.errors import ModelError
-from ..core.relations import EventUniverse, Relation, full_over
+from ..core.relations import EventUniverse, Relation, _mask_of, full_over
 from .ast import (
     Binary,
     Bracket,
@@ -143,6 +149,19 @@ def _as_set(value: Value) -> FrozenSet[int]:
     raise ModelError("expected an event set, got a relation")
 
 
+@dataclass(frozen=True)
+class Chain(CatExpr):
+    """A flattened ``|`` or ``;`` chain: ``operands[0] op operands[1] ...``.
+
+    Only partial evaluation (:class:`CompiledModel`) builds chains; the
+    parser never does, so :meth:`Model.evaluate` compiles the source
+    AST's binary nodes exactly as written.
+    """
+
+    op: str
+    operands: Tuple[CatExpr, ...]
+
+
 def _free_names(expr: CatExpr) -> FrozenSet[str]:
     """The set of names an expression reads."""
     if isinstance(expr, Name):
@@ -155,9 +174,9 @@ def _free_names(expr: CatExpr) -> FrozenSet[str]:
         return _free_names(expr.left) | _free_names(expr.right)
     if isinstance(expr, (Postfix, Complement)):
         return _free_names(expr.inner)
-    if isinstance(expr, Call):
+    if isinstance(expr, (Call, Chain)):
         names: Set[str] = set()
-        for arg in expr.args:
+        for arg in expr.args if isinstance(expr, Call) else expr.operands:
             names |= _free_names(arg)
         return frozenset(names)
     return frozenset()  # pragma: no cover - defensive
@@ -211,6 +230,8 @@ def _compile_expr(expr: CatExpr) -> ExprKernel:
         return k_complement
     if isinstance(expr, Call):
         return _compile_call(expr)
+    if isinstance(expr, Chain):
+        return _compile_chain(expr)
     raise ModelError(f"cannot compile {expr!r}")  # pragma: no cover
 
 
@@ -248,6 +269,59 @@ def _compile_binary(expr: Binary) -> ExprKernel:
         return lrel - rrel
 
     return k_setop
+
+
+def _compile_chain(expr: Chain) -> ExprKernel:
+    """``|`` chains union all operands at once; ``;`` chains turn every
+    ``[S]`` operand into row masking instead of a composition."""
+    if expr.op == "|":
+        union_parts = [_compile_expr(o) for o in expr.operands]
+
+        def k_union(env: CatEnv) -> Value:
+            # a union stays a set only if every operand is a set; else
+            # the set operands join as one identity relation
+            events: Optional[FrozenSet[int]] = None
+            rels: List[Relation] = []
+            for part in union_parts:
+                value = part(env)
+                if isinstance(value, frozenset):
+                    events = value if events is None else events | value
+                else:
+                    rels.append(value)
+            if not rels:
+                return events  # type: ignore[return-value]
+            if events is not None:
+                rels.append(Relation.identity(events))
+            return rels[0].union(*rels[1:])
+
+        return k_union
+
+    # (is_mask, kernel): a bracket operand's kernel yields its event set
+    seq_parts = [
+        (isinstance(o, Bracket), _compile_expr(o.inner if isinstance(o, Bracket) else o))
+        for o in expr.operands
+    ]
+
+    def k_seq_chain(env: CatEnv) -> Value:
+        rel: Optional[Relation] = None
+        leading: Optional[FrozenSet[int]] = None  # brackets before any relation
+        for is_mask, part in seq_parts:
+            value = part(env)
+            if rel is None:
+                if is_mask:
+                    events = _as_set(value)
+                    leading = events if leading is None else leading & events
+                    continue
+                rel = _as_relation(value, env.universe)
+                if leading is not None:
+                    rel = rel.mask_domain(_mask_of(leading))
+            elif is_mask:
+                rel = rel.mask_range(_mask_of(_as_set(value)))
+            else:
+                rel = rel.compose(_as_relation(value, env.universe))
+        return rel if rel is not None else Relation.identity(leading)  # type: ignore[arg-type]
+
+    return k_seq_chain
 
 
 def _compile_postfix(expr: Postfix) -> ExprKernel:
@@ -370,6 +444,148 @@ def _compile_stmt(stmt: CatStmt) -> Optional[StmtKernel]:
     raise ModelError(f"unknown statement {stmt!r}")  # pragma: no cover - defensive
 
 
+# --------------------------------------------------------------------- #
+# partial evaluation: hoist static subterms out of dynamic statements
+# --------------------------------------------------------------------- #
+_LEAVES = (Name, EmptySet, Universe)
+_BUILTINS = frozenset({"domain", "range", "toid", "fencerel"})
+
+
+def _flatten(expr: CatExpr) -> CatExpr:
+    """Rewrite nested ``|`` and ``;`` nodes into :class:`Chain` nodes.
+
+    Both operators are associative, so a chain's value does not depend
+    on how the parser nested it; ``|`` is also commutative, which lets
+    the hoister gather its static operands into one term.
+    """
+    if isinstance(expr, Binary):
+        if expr.op not in ("|", ";"):
+            return Binary(expr.op, _flatten(expr.left), _flatten(expr.right))
+        operands: List[CatExpr] = []
+        pending = [expr]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, Binary) and node.op == expr.op:
+                pending += (node.right, node.left)
+            else:
+                operands.append(_flatten(node))
+        return Chain(expr.op, tuple(operands))
+    if isinstance(expr, Bracket):
+        return Bracket(_flatten(expr.inner))
+    if isinstance(expr, Postfix):
+        return Postfix(expr.op, _flatten(expr.inner))
+    if isinstance(expr, Complement):
+        return Complement(_flatten(expr.inner))
+    if isinstance(expr, Call):
+        return Call(expr.func, tuple(_flatten(a) for a in expr.args))
+    return expr
+
+
+class _Hoister:
+    """Replaces maximal static subterms with fresh, shared bindings.
+
+    ``bindings`` lists the hoisted ``(name, term)`` pairs in creation
+    order; equal terms share one binding.  Fresh names start with ``%``,
+    which no Cat identifier can, so they never shadow a model name.
+    """
+
+    def __init__(self) -> None:
+        self.bindings: List[Tuple[str, CatExpr]] = []
+        self._names: Dict[CatExpr, str] = {}
+
+    def rewrite(self, expr: CatExpr, blocked: FrozenSet[str]) -> CatExpr:
+        """Rewrite one (flattened) expression of a dynamic statement.
+
+        A subterm is static when it reads no ``blocked`` name and calls
+        only known builtins; a static subterm other than a leaf becomes
+        a reference to its hoisted binding.
+        """
+        if self._static(expr, blocked):
+            return expr if isinstance(expr, _LEAVES) else self._hoist(expr)
+        if isinstance(expr, Chain) and expr.op == "|":
+            static: List[CatExpr] = []
+            dynamic: List[CatExpr] = []
+            for operand in expr.operands:
+                (static if self._static(operand, blocked) else dynamic).append(operand)
+            if len(static) > 1:
+                static = [self._hoist(Chain("|", tuple(static)))]
+            return Chain("|", tuple(self.rewrite(o, blocked) for o in static + dynamic))
+        if isinstance(expr, Chain):
+            out: List[CatExpr] = []
+            for is_static, group in groupby(
+                expr.operands, key=lambda o: self._static(o, blocked)
+            ):
+                run = tuple(group)
+                if is_static and len(run) > 1 and not all(isinstance(o, Bracket) for o in run):
+                    out.append(self._hoist(Chain(";", run)))
+                    continue
+                # every bracket stays a row mask: only its event set is hoisted
+                out.extend(
+                    Bracket(self.rewrite(o.inner, blocked))
+                    if isinstance(o, Bracket)
+                    else self.rewrite(o, blocked)
+                    for o in run
+                )
+            return Chain(";", tuple(out))
+        if isinstance(expr, Bracket):
+            return Bracket(self.rewrite(expr.inner, blocked))
+        if isinstance(expr, Binary):
+            return Binary(
+                expr.op,
+                self.rewrite(expr.left, blocked),
+                self.rewrite(expr.right, blocked),
+            )
+        if isinstance(expr, Postfix):
+            return Postfix(expr.op, self.rewrite(expr.inner, blocked))
+        if isinstance(expr, Complement):
+            return Complement(self.rewrite(expr.inner, blocked))
+        if isinstance(expr, Call):
+            return Call(expr.func, tuple(self.rewrite(a, blocked) for a in expr.args))
+        return expr  # pragma: no cover - leaves are always static
+
+    def _hoist(self, expr: CatExpr) -> Name:
+        name = self._names.get(expr)
+        if name is None:
+            name = self._names[expr] = f"%{len(self.bindings)}"
+            self.bindings.append((name, expr))
+        return Name(name)
+
+    @staticmethod
+    def _static(expr: CatExpr, blocked: FrozenSet[str]) -> bool:
+        if _free_names(expr) & blocked:
+            return False
+        # an unknown builtin raises when evaluated: leave it in place
+        pending = [expr]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, Call):
+                if node.func not in _BUILTINS:
+                    return False
+                pending.extend(node.args)
+            elif isinstance(node, Chain):
+                pending.extend(node.operands)
+            elif isinstance(node, Binary):
+                pending += (node.left, node.right)
+            elif isinstance(node, (Bracket, Postfix, Complement)):
+                pending.append(node.inner)
+        return True
+
+
+def _rewrite_stmt(stmt: CatStmt, hoister: _Hoister, blocked: FrozenSet[str]) -> CatStmt:
+    if isinstance(stmt, Let):
+        return Let(
+            tuple((n, hoister.rewrite(_flatten(e), blocked)) for n, e in stmt.bindings),
+            stmt.recursive,
+        )
+    return Check(  # dynamic statements are lets and checks only
+        stmt.kind,
+        hoister.rewrite(_flatten(stmt.expr), blocked),
+        stmt.name,
+        stmt.negated,
+        stmt.flag,
+    )
+
+
 class Model:
     """A parsed Cat model ready for evaluation."""
 
@@ -427,9 +643,9 @@ class Model:
 class StaticPrefix:
     """The result of running a model's static statements once.
 
-    ``env`` carries the static bindings (base env plus every let-bound
-    name the prefix produced); ``checks``/``flags`` are the outcomes of
-    the static checks.  The prefix is immutable from the caller's point
+    ``env`` carries the static bindings (base env, every let-bound name
+    the prefix produced and the hoisted subterms of dynamic statements);
+    ``checks``/``flags`` are the outcomes of the static checks.  The prefix is immutable from the caller's point
     of view: :meth:`CompiledModel.run_dynamic` copies the bindings before
     the suffix executes.
     """
@@ -454,6 +670,21 @@ class CompiledModel:
     checks over dynamic names go to the suffix.  Rebinding an existing
     name after a dynamic statement has been emitted is conservatively
     treated as dynamic, preserving statement order for shadowing models.
+    ``static_statements`` / ``dynamic_statements`` are that split of the
+    *source* statements.
+
+    The suffix is then partially evaluated: each dynamic statement's
+    ``|`` and ``;`` chains are flattened and every maximal subterm that
+    reads only static names (other than a bare name) is replaced by a
+    fresh binding, which the prefix computes once per path combination.
+    A name counts as static in a statement only if it is not dynamic
+    there, is not bound by the statement itself (so a ``let rec``'s own
+    names stay dynamic), and is either bound by an earlier static
+    statement or never ``let``-bound at all (so a base name the
+    environment lacks raises its :class:`ModelError` in
+    :meth:`run_static` rather than in the suffix).  :attr:`dynamic_names` is
+    the set of base names the rewritten suffix reads, so callers build
+    only those per candidate.
 
     Both halves are compiled once — at construction — into fused lists
     of row-level kernel ops (:data:`StmtKernel`); per-candidate work in
@@ -467,6 +698,14 @@ class CompiledModel:
         self.dynamic_statements: List[CatStmt] = []
         dynamic: Set[str] = set(DYNAMIC_BASE_NAMES)
         bound: Set[str] = set()
+        let_bound = {
+            name
+            for stmt in model.ast.statements
+            if isinstance(stmt, Let)
+            for name, _ in stmt.bindings
+        }
+        #: per dynamic statement: the names its hoisted subterms may not read
+        blocked: List[FrozenSet[str]] = []
         suffix_started = False
         for stmt in model.ast.statements:
             if isinstance(stmt, Let):
@@ -485,6 +724,7 @@ class CompiledModel:
                     or (suffix_started and bool(names & bound))
                 )
                 if is_dynamic:
+                    blocked.append(frozenset(dynamic | names | (let_bound - bound)))
                     dynamic |= names
                     suffix_started = True
                     self.dynamic_statements.append(stmt)
@@ -494,14 +734,34 @@ class CompiledModel:
                 bound |= names
             elif isinstance(stmt, Check):
                 if _free_names(stmt.expr) & dynamic:
+                    blocked.append(frozenset(dynamic | (let_bound - bound)))
                     suffix_started = True
                     self.dynamic_statements.append(stmt)
                 else:
                     self.static_statements.append(stmt)
             else:  # Show / Include: presentation-only
                 self.static_statements.append(stmt)
+        hoister = _Hoister()
+        self._suffix: Tuple[CatStmt, ...] = tuple(
+            _rewrite_stmt(stmt, hoister, names)
+            for stmt, names in zip(self.dynamic_statements, blocked)
+        )
+        self._hoisted: Tuple[Tuple[str, CatExpr], ...] = tuple(hoister.bindings)
+        read: Set[str] = set()
+        for stmt in self._suffix:
+            exprs = [e for _, e in stmt.bindings] if isinstance(stmt, Let) else [stmt.expr]
+            for expr in exprs:
+                read |= _free_names(expr)
+        #: the dynamic base names the rewritten suffix reads
+        self.dynamic_names: FrozenSet[str] = frozenset(read).intersection(
+            DYNAMIC_BASE_NAMES
+        )
         self._static_ops: List[StmtKernel] = model.ops_for(self.static_statements)
-        self._dynamic_ops: List[StmtKernel] = model.ops_for(self.dynamic_statements)
+        if self._hoisted:
+            self._static_ops.append(_compile_let(Let(self._hoisted)))
+        self._dynamic_ops: List[StmtKernel] = [
+            op for op in map(_compile_stmt, self._suffix) if op is not None
+        ]
 
     # ------------------------------------------------------------------ #
     def run_static(self, env: CatEnv) -> StaticPrefix:
@@ -518,9 +778,9 @@ class CompiledModel:
     ) -> ModelResult:
         """Evaluate the dynamic suffix for one candidate execution.
 
-        ``bindings`` supplies the per-candidate base relations (see
-        :data:`DYNAMIC_BASE_NAMES`); static check results are merged into
-        the returned :class:`ModelResult`.
+        ``bindings`` supplies the per-candidate base relations: at least
+        :attr:`dynamic_names`, any of :data:`DYNAMIC_BASE_NAMES`; static
+        check results are merged into the returned :class:`ModelResult`.
         """
         base = prefix.env
         env = CatEnv(dict(base.bindings), base.universe, base.po, base.interned)

@@ -18,7 +18,8 @@ The environment is built in two stages, mirroring the staged solver:
   instead of O(n²) pair loops;
 * :func:`dynamic_bindings` adds the rf/co-derived relations that change
   per candidate (``rf``, ``co``, ``fr``, ``com`` and the internal/
-  external splits) — row-wise kernel ops against the same universe.
+  external splits) — row-wise kernel ops against the same universe,
+  built only for the names the model's dynamic suffix reads.
 
 :func:`build_env` composes both for callers that hold one finished
 execution.
@@ -31,12 +32,12 @@ every front-end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Sequence
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence
 
-from ..core.events import Event, MemoryOrder
+from ..core.events import ACCESS_KINDS, INIT_TID, Event, EventKind, MemoryOrder
 from ..core.execution import Execution
 from ..core.relations import EventUniverse, Relation
-from .interp import CatEnv, Value
+from .interp import DYNAMIC_BASE_NAMES, CatEnv, Value
 
 #: Architecture tag names every environment defines (empty if unused).
 KNOWN_TAG_SETS = (
@@ -107,61 +108,78 @@ def build_static_env(
     data: Relation = Relation.empty(),
     ctrl: Relation = Relation.empty(),
 ) -> StaticEnv:
-    """Construct the rf/co-independent bindings for one event structure."""
+    """Construct the rf/co-independent bindings for one event structure.
+
+    One pass over the events sorts every id into its sets and collects
+    the per-location and per-thread masks; a second assembles the
+    ``loc``/``int``/``ext`` adjacency rows from those shared masks.
+    """
     uni = EventUniverse(e.eid for e in events)
     universe = uni.ids()
-    reads = frozenset(e.eid for e in events if e.is_read)
-    writes = frozenset(e.eid for e in events if e.is_write)
-    fences = frozenset(e.eid for e in events if e.is_fence)
-    accesses = frozenset(e.eid for e in events if e.is_access)
-    init_writes = frozenset(e.eid for e in events if e.is_init)
-
-    def order_set(*orders: MemoryOrder) -> FrozenSet[int]:
-        wanted = set(orders)
-        return frozenset(e.eid for e in events if e.order in wanted)
-
-    # same-location, internal and external splits (static: they depend
-    # only on event structure, not on rf/co) — assembled as adjacency
-    # rows from one shared mask per location/thread group
+    kinds: Dict[EventKind, List[int]] = {kind: [] for kind in EventKind}
+    by_order: Dict[MemoryOrder, List[int]] = {order: [] for order in MemoryOrder}
+    init_writes: List[int] = []
+    plain: List[int] = []  # non-atomic, non-init accesses
+    tags_present: Dict[str, List[int]] = {}
     loc_masks: Dict[str, int] = {}
-    for e in events:
-        if e.is_access and e.loc is not None:
-            loc_masks[e.loc] = loc_masks.get(e.loc, 0) | (1 << e.eid)
-    loc_rows: Dict[int, int] = {}
-    for e in events:
-        if e.is_access and e.loc is not None:
-            row = loc_masks[e.loc] & ~(1 << e.eid)
-            if row:
-                loc_rows[e.eid] = row
-
     tid_masks: Dict[int, int] = {}
     all_mask = 0
     for e in events:
-        tid_masks[e.tid] = tid_masks.get(e.tid, 0) | (1 << e.eid)
-        all_mask |= 1 << e.eid
+        eid, bit = e.eid, 1 << e.eid
+        kinds[e.kind].append(eid)
+        by_order[e.order].append(eid)
+        is_access = e.kind in ACCESS_KINDS
+        if e.tid == INIT_TID:
+            init_writes.append(eid)
+        elif is_access and e.order is MemoryOrder.NA:
+            plain.append(eid)
+        if is_access and e.loc is not None:
+            loc_masks[e.loc] = loc_masks.get(e.loc, 0) | bit
+        tid_masks[e.tid] = tid_masks.get(e.tid, 0) | bit
+        all_mask |= bit
+        for tag in e.tags:
+            tags_present.setdefault(tag, []).append(eid)
+
+    # same-location, internal and external splits (static: they depend
+    # only on event structure, not on rf/co) — one shared mask per
+    # location/thread group instead of O(n²) pair loops
+    loc_rows: Dict[int, int] = {}
     int_rows: Dict[int, int] = {}
     ext_rows: Dict[int, int] = {}
     for e in events:
-        own = tid_masks[e.tid]
-        if not e.is_init:
-            row = own & ~(1 << e.eid)
+        eid, bit = e.eid, 1 << e.eid
+        if e.loc is not None and e.kind in ACCESS_KINDS:
+            row = loc_masks[e.loc] & ~bit
             if row:
-                int_rows[e.eid] = row
+                loc_rows[eid] = row
+        own = tid_masks[e.tid]
+        if e.tid != INIT_TID:
+            row = own & ~bit
+            if row:
+                int_rows[eid] = row
         outside = all_mask & ~own
         if outside:
-            ext_rows[e.eid] = outside
+            ext_rows[eid] = outside
     loc = Relation.from_rows(loc_rows)
     internal = Relation.from_rows(int_rows)
     external = Relation.from_rows(ext_rows)
+
+    def order_set(*orders: MemoryOrder) -> FrozenSet[int]:
+        return frozenset(eid for order in orders for eid in by_order[order])
+
+    reads = frozenset(kinds[EventKind.READ])
+    writes = frozenset(kinds[EventKind.WRITE])
+    atomic = order_set(*(order for order in MemoryOrder if order.is_atomic))
+    init_set = frozenset(init_writes)
 
     bindings: Dict[str, Value] = {
         # base sets --------------------------------------------------- #
         "R": reads,
         "W": writes,
-        "M": accesses,
-        "F": fences,
-        "B": frozenset(e.eid for e in events if e.is_branch),
-        "IW": init_writes,
+        "M": reads | writes,
+        "F": frozenset(kinds[EventKind.FENCE]),
+        "B": frozenset(kinds[EventKind.BRANCH]),
+        "IW": init_set,
         "id": uni.identity(),
         # C11 order sets ----------------------------------------------- #
         # ACQ: acquire or stronger; REL: release or stronger; etc.
@@ -170,15 +188,9 @@ def build_static_env(
         "SC": order_set(MemoryOrder.SC),
         "ACQ_REL": order_set(MemoryOrder.ACQ_REL),
         "CON": order_set(MemoryOrder.CON),
-        "RLX": frozenset(
-            e.eid for e in events if e.order.is_atomic
-        ),  # "at least relaxed" = every atomic event
-        "NA": frozenset(
-            e.eid
-            for e in events
-            if e.is_access and not e.order.is_atomic and not e.is_init
-        ),
-        "ATOMIC": frozenset(e.eid for e in events if e.order.is_atomic),
+        "RLX": atomic,  # "at least relaxed" = every atomic event
+        "NA": frozenset(plain),
+        "ATOMIC": atomic,
         # static base relations ---------------------------------------- #
         "po": po,
         "rmw": rmw,
@@ -191,12 +203,8 @@ def build_static_env(
         "ext": external,
         "po-loc": po & loc,
         # init-before: initial writes precede every other event -------- #
-        "init": Relation.cartesian(init_writes, universe - init_writes),
+        "init": Relation.cartesian(init_set, universe - init_set),
     }
-    tags_present: Dict[str, set] = {}
-    for e in events:
-        for tag in e.tags:
-            tags_present.setdefault(tag, set()).add(e.eid)
     for tag in KNOWN_TAG_SETS:
         bindings[tag] = frozenset(tags_present.get(tag, ()))
     env = CatEnv(bindings=bindings, universe=universe, po=po, interned=uni)
@@ -204,30 +212,43 @@ def build_static_env(
 
 
 def dynamic_bindings(
-    execution: Execution, static: Optional[StaticEnv] = None
+    execution: Execution,
+    static: Optional[StaticEnv] = None,
+    names: Optional[AbstractSet[str]] = None,
 ) -> Dict[str, Value]:
     """The per-candidate (rf/co-derived) bindings.
 
     When ``static`` is given its internal/external relations are reused;
-    otherwise they are recomputed from the execution.
+    otherwise they are recomputed from the execution.  ``names`` limits
+    the result to the base names a model reads
+    (:attr:`~repro.cat.interp.CompiledModel.dynamic_names`); by default
+    every name of :data:`~repro.cat.interp.DYNAMIC_BASE_NAMES` is built.
     """
-    internal = static.internal if static is not None else execution.internal()
-    external = static.external if static is not None else execution.external()
+    if names is None:
+        names = _ALL_DYNAMIC
     rf, co, fr = execution.rf, execution.co, execution.fr
     bindings: Dict[str, Value] = {
-        "rf": rf,
-        "co": co,
-        "fr": fr,
-        "com": rf | co | fr,
-        "rfe": rf & external,
-        "rfi": rf & internal,
-        "coe": co & external,
-        "coi": co & internal,
-        "fre": fr & external,
-        "fri": fr & internal,
+        name: rel for name, rel in (("rf", rf), ("co", co), ("fr", fr)) if name in names
     }
+    if "com" in names:
+        bindings["com"] = rf | co | fr
+    if not names.isdisjoint(_EXTERNAL_SPLITS):
+        external = static.external if static is not None else execution.external()
+        for name, rel in (("rfe", rf), ("coe", co), ("fre", fr)):
+            if name in names:
+                bindings[name] = rel & external
+    if not names.isdisjoint(_INTERNAL_SPLITS):
+        internal = static.internal if static is not None else execution.internal()
+        for name, rel in (("rfi", rf), ("coi", co), ("fri", fr)):
+            if name in names:
+                bindings[name] = rel & internal
     # keys must stay in sync with DYNAMIC_BASE_NAMES; asserted in tests
     return bindings
+
+
+_ALL_DYNAMIC = frozenset(DYNAMIC_BASE_NAMES)
+_EXTERNAL_SPLITS = frozenset({"rfe", "coe", "fre"})
+_INTERNAL_SPLITS = frozenset({"rfi", "coi", "fri"})
 
 
 def build_env(execution: Execution) -> CatEnv:

@@ -16,7 +16,6 @@ Output format per thread::
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List
 
 from ..asm.isa.base import Op, get_isa
@@ -39,7 +38,7 @@ def disassemble_thread(
         if numeric and instr.op is Op.MOVADDR and instr.symbol in layout:
             # the numeric view: the symbol becomes a bare hex address
             resolved = layout[instr.symbol] + instr.offset
-            shown = replace(instr, symbol=f"0x{resolved:x}", offset=0)
+            shown = instr.evolve(symbol=f"0x{resolved:x}", offset=0)
         lines.append(f"{address:8x}:   {isa.print_instruction(shown)}")
         address += 4
     return lines

@@ -52,6 +52,15 @@ _FOLDABLE = {
 # --------------------------------------------------------------------------- #
 # scaffolding passes
 # --------------------------------------------------------------------------- #
+def _with_operands(
+    instr: IRInstr, a: Optional[Operand], b: Optional[Operand]
+) -> IRInstr:
+    """``instr`` with operands ``a``/``b``; rebuilt only if one changed."""
+    if a is instr.a and b is instr.b:
+        return instr
+    return replace(instr, a=a, b=b)
+
+
 def const_fold(body: List[IRInstr]) -> List[IRInstr]:
     """Block-local constant propagation and folding."""
     out: List[IRInstr] = []
@@ -65,12 +74,12 @@ def const_fold(body: List[IRInstr]) -> List[IRInstr]:
     for instr in body:
         if instr.op in (IROp.LABEL, IROp.BR, IROp.CBR):
             if instr.op is IROp.CBR:
-                instr = replace(instr, a=resolve(instr.a), b=resolve(instr.b))
+                instr = _with_operands(instr, resolve(instr.a), resolve(instr.b))
             # control flow joins invalidate block-local knowledge
             out.append(instr)
             consts.clear()
             continue
-        instr = replace(instr, a=resolve(instr.a), b=resolve(instr.b))
+        instr = _with_operands(instr, resolve(instr.a), resolve(instr.b))
         if instr.op is IROp.CONST and instr.dst is not None:
             consts[instr.dst] = int(instr.a)  # type: ignore[arg-type]
         elif (
@@ -105,7 +114,7 @@ def copy_prop(body: List[IRInstr]) -> List[IRInstr]:
             out.append(instr)
             copies.clear()
             continue
-        instr = replace(instr, a=resolve(instr.a), b=resolve(instr.b))
+        instr = _with_operands(instr, resolve(instr.a), resolve(instr.b))
         if instr.dst is not None:
             # defining x kills copies of x and copies *through* x
             copies.pop(instr.dst, None)

@@ -106,6 +106,9 @@ class EventKind(enum.Enum):
 #: The thread id used for initial-state writes.
 INIT_TID = -1
 
+#: The kinds of event that access memory (:attr:`Event.is_access`).
+ACCESS_KINDS = (EventKind.READ, EventKind.WRITE)
+
 
 @dataclass(frozen=True)
 class Event:
@@ -157,7 +160,7 @@ class Event:
 
     @property
     def is_access(self) -> bool:
-        return self.kind in (EventKind.READ, EventKind.WRITE)
+        return self.kind in ACCESS_KINDS
 
     @property
     def is_init(self) -> bool:

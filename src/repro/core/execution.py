@@ -87,7 +87,29 @@ class Execution:
         self.ctrl = ctrl
         # fr: the read reads a write co-before another write => read is
         # "from-read" before the later write.
-        self.fr = rf.inverse().compose(co)
+        self._rf_inverse = rf.inverse()
+        self.fr = self._rf_inverse.compose(co)
+
+    def with_co(self, co: Relation) -> "Execution":
+        """The same execution under another coherence order.
+
+        The result shares the sorted event tuple, the id index and every
+        relation but ``co``/``fr`` with ``self``; the enumerator derives
+        all coherence orders of one rf assignment this way.
+        """
+        out = Execution.__new__(Execution)
+        out.events = self.events
+        out.by_id = self.by_id
+        out.po = self.po
+        out.rf = self.rf
+        out.co = co
+        out.rmw = self.rmw
+        out.addr = self.addr
+        out.data = self.data
+        out.ctrl = self.ctrl
+        out._rf_inverse = self._rf_inverse
+        out.fr = self._rf_inverse.compose(co)
+        return out
 
     # ------------------------------------------------------------------ #
     # event-set views

@@ -19,12 +19,15 @@ word-parallel bitwise operation:
 * union / intersection / difference  — row-wise ``|`` / ``&`` / ``& ~``;
 * composition ``r ; s``              — for each set bit ``b`` of a row of
   ``r``, OR in the row of ``b`` in ``s``;
-* ``r^+``                            — genuine repeated squaring,
-  ``R ← R ∪ R∘R``, doubling the covered path length each round
-  (``⌈log₂ n⌉`` rounds instead of ``n`` relaxation sweeps);
+* ``r^+``                            — one bitset-Warshall pass: for
+  each row key ``k`` in turn, every row with bit ``k`` set ORs in the
+  row of ``k`` (``n`` pivots of one word-parallel sweep each, no
+  composition);
 * acyclicity                         — bitset Kahn elimination: repeatedly
   strip the vertices no live vertex points to;
-* restriction / domain / codomain    — row masking and bit collection.
+* restriction / domain / codomain    — row masking and bit collection
+  (``[S] ; r`` and ``r ; [S]`` compile to :meth:`Relation.mask_domain`
+  / :meth:`Relation.mask_range`, not to a composition).
 
 Identity invariants the kernels rely on (checked by the differential
 property tests in ``tests/test_relations.py``):
@@ -237,14 +240,22 @@ class Relation:
     # the cat operator suite
     # ------------------------------------------------------------------ #
     def union(self, *others: "Relation") -> "Relation":
-        if not others:
-            return self
-        rows = dict(self._rows)
+        # relations are immutable: while at most one operand is
+        # non-empty, that operand is the union and nothing is copied
+        result = self
+        rows: Optional[Dict[int, int]] = None
         for other in others:
+            if not other._rows:
+                continue
+            if rows is None:
+                if not result._rows:
+                    result = other
+                    continue
+                rows = dict(result._rows)
             get = rows.get
             for a, mask in other._rows.items():
                 rows[a] = get(a, 0) | mask
-        return Relation._from_rows(rows)
+        return result if rows is None else Relation._from_rows(rows)
 
     def intersection(self, other: "Relation") -> "Relation":
         small, big = self._rows, other._rows
@@ -320,22 +331,28 @@ class Relation:
         return rel
 
     def transitive_closure(self) -> "Relation":
-        """``r^+`` by repeated squaring: ``R ← R ∪ R∘R`` until fixpoint.
+        """``r^+`` by one bitset-Warshall pass over the row keys.
 
-        Each round doubles the maximum path length already covered, so a
-        relation whose longest simple path has length ``k`` converges in
-        ``⌈log₂ k⌉ + 1`` rounds of row-level kernel ops.
+        Pivot ``k`` lets every path through ``k`` skip it: each row with
+        bit ``k`` set ORs in the row of ``k``.  Only ids that are both a
+        row key and some row's target can be interior vertices of a path,
+        so they are the only pivots (ORing rows together never adds a
+        target).  Pass ``k`` never changes the row of ``k`` itself, so
+        updating rows in place during the pass is sound.
         """
         rows = dict(self._rows)
-        while True:
-            changed = False
-            for a, mask in _compose_rows(rows, rows).items():
-                old = rows.get(a, 0)
-                if mask | old != old:
-                    rows[a] = old | mask
-                    changed = True
-            if not changed:
-                return Relation._from_rows(rows)
+        targets = 0
+        for mask in rows.values():
+            targets |= mask
+        for k in self._rows:
+            bit = 1 << k
+            if not targets & bit:
+                continue
+            via = rows[k]
+            for a, mask in rows.items():
+                if mask & bit:
+                    rows[a] = mask | via
+        return Relation._from_rows(rows)
 
     def reflexive_transitive_closure(self, universe: Iterable[int]) -> "Relation":
         """``r^*`` — needs the event universe to add the identity."""
@@ -349,13 +366,19 @@ class Relation:
     # restrictions
     # ------------------------------------------------------------------ #
     def restrict_domain(self, elements: Iterable[int]) -> "Relation":
-        allowed = set(elements)
-        return Relation._from_rows(
-            {a: mask for a, mask in self._rows.items() if a in allowed}
-        )
+        return self.mask_domain(_mask_of(e for e in elements if e >= 0))
 
     def restrict_range(self, elements: Iterable[int]) -> "Relation":
-        mask = _mask_of(e for e in elements if e >= 0)
+        return self.mask_range(_mask_of(e for e in elements if e >= 0))
+
+    def mask_domain(self, mask: int) -> "Relation":
+        """``[S] ; r`` for ``S`` given as a bitmask: keep the rows of ``S``."""
+        return Relation._from_rows(
+            {a: row for a, row in self._rows.items() if (mask >> a) & 1}
+        )
+
+    def mask_range(self, mask: int) -> "Relation":
+        """``r ; [S]`` for ``S`` given as a bitmask: mask every row."""
         rows: Dict[int, int] = {}
         for a, row in self._rows.items():
             kept = row & mask

@@ -51,7 +51,7 @@ from typing import (
 )
 
 from ..core.errors import SimulationTimeout
-from ..core.events import INIT_TID, Event, EventKind
+from ..core.events import ACCESS_KINDS, INIT_TID, Event, EventKind
 from ..core.execution import Execution
 from ..core.expr import Expr
 from ..core.relations import EventUniverse, Pair, Relation, RelationBuilder
@@ -194,6 +194,8 @@ class PathCombo:
     read_ids: List[int] = field(default_factory=list)
     #: non-init writes per location, in eid order
     writes_by_loc: Dict[str, List[int]] = field(default_factory=dict)
+    #: write (init writes included) -> its location
+    write_loc: Dict[int, str] = field(default_factory=dict)
     init_write: Dict[str, int] = field(default_factory=dict)
     init_ids: FrozenSet[int] = frozenset()
     #: read -> same-thread po-earlier writes to the read's location
@@ -504,16 +506,19 @@ def _index_combo(combo: PathCombo) -> None:
     """Build the write/read indexes the pruning stages consult."""
     events = combo.events
     writes_by_loc: Dict[str, List[int]] = {}
+    write_loc: Dict[int, str] = {}
     init_write: Dict[str, int] = {}
     init_ids: Set[int] = set()
     for e in events:
         if e.is_write and e.loc is not None:
+            write_loc[e.eid] = e.loc
             if e.is_init:
                 init_write[e.loc] = e.eid
                 init_ids.add(e.eid)
             else:
                 writes_by_loc.setdefault(e.loc, []).append(e.eid)
     combo.writes_by_loc = writes_by_loc
+    combo.write_loc = write_loc
     combo.init_write = init_write
     combo.init_ids = frozenset(init_ids)
 
@@ -593,11 +598,12 @@ def _solve_values(
 ) -> Dict[int, int]:
     """Evaluate along data-dep ∪ rf; raise ``_ValueCycle`` on cycles."""
     values: Dict[int, int] = {}
+    by_id: Dict[int, Event] = {}
     for e in events:
+        by_id[e.eid] = e
         if e.value is not None:
             values[e.eid] = e.value
     visiting: set = set()
-    by_id = {e.eid: e for e in events}
 
     def value_of(eid: int) -> int:
         if eid in values:
@@ -605,10 +611,10 @@ def _solve_values(
         if eid in visiting:
             raise _ValueCycle()
         visiting.add(eid)
-        event = by_id[eid]
-        if event.is_read:
+        kind = by_id[eid].kind
+        if kind is EventKind.READ:
             result = value_of(rf_map[eid])
-        elif event.is_write:
+        elif kind is EventKind.WRITE:
             expr = write_exprs.get(eid)
             if expr is None:
                 result = 0
@@ -622,7 +628,7 @@ def _solve_values(
         return result
 
     for e in events:
-        if e.is_read or e.is_write:
+        if e.kind in ACCESS_KINDS:
             value_of(e.eid)
     return values
 
@@ -720,13 +726,23 @@ class ExecutionEnumerator:
                 self._tick()
                 continue
 
-            concrete = [
-                e if e.value is not None else e.with_value(values[e.eid])
-                if e.is_access
-                else e
-                for e in combo.events
-            ]
-            rf_rel = Relation((w, r) for r, w in rf_map.items())
+            # one sorted event tuple and id index per rf assignment: every
+            # coherence order below shares them (Execution.with_co)
+            base = Execution(
+                events=[
+                    e if e.value is not None or e.kind not in ACCESS_KINDS
+                    else Event(e.eid, e.tid, e.kind, e.loc, values[e.eid],
+                               e.order, e.tags, e.label)
+                    for e in combo.events
+                ],
+                po=combo.po,
+                rf=Relation((w, r) for r, w in rf_map.items()),
+                co=Relation.empty(),
+                rmw=combo.rmw,
+                addr=combo.addr,
+                data=combo.data,
+                ctrl=combo.ctrl,
+            )
             final_values = tuple(
                 (name, expr.eval({r: values[r] for r in expr.reads()}))
                 for name, expr in combo.finals
@@ -735,17 +751,7 @@ class ExecutionEnumerator:
             for co in self._co_orders(combo, edges_by_loc):
                 self.stats.candidates += 1
                 self._tick()
-                execution = Execution(
-                    events=concrete,
-                    po=combo.po,
-                    rf=rf_rel,
-                    co=co,
-                    rmw=combo.rmw,
-                    addr=combo.addr,
-                    data=combo.data,
-                    ctrl=combo.ctrl,
-                )
-                yield Candidate(execution=execution, finals=final_values)
+                yield Candidate(execution=base.with_co(co), finals=final_values)
 
     def _co_constraints(
         self, combo: PathCombo, rf_map: Mapping[int, int]
@@ -757,9 +763,6 @@ class ExecutionEnumerator:
         constraint graph is cyclic — either way, no coherence order can
         satisfy this rf assignment.
         """
-        loc_of = {
-            e.eid: e.loc for e in combo.events if e.is_write and e.loc is not None
-        }
         preds: Dict[str, Dict[int, Set[int]]] = {
             loc: {w: set() for w in ws} for loc, ws in combo.writes_by_loc.items()
         }
@@ -772,7 +775,7 @@ class ExecutionEnumerator:
                         continue  # init is co-first: trivially satisfied
                     if b in combo.init_ids:
                         return None  # nothing can be co-before init
-                    loc = loc_of[a]
+                    loc = combo.write_loc[a]
                     builder = builders.setdefault(loc, RelationBuilder())
                     # incremental infeasibility check: a constraint edge
                     # that closes a cycle means no coherence order exists

@@ -106,7 +106,10 @@ def run_programs(
                 continue
             for candidate in enumerator.candidates_for(combo):
                 verdict = compiled.run_dynamic(
-                    prefix, dynamic_bindings(candidate.execution, static)
+                    prefix,
+                    dynamic_bindings(
+                        candidate.execution, static, compiled.dynamic_names
+                    ),
                 )
                 if not verdict.allowed:
                     continue

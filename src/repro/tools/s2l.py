@@ -23,7 +23,7 @@ Three stages, mirroring §III-B/§III-D/§IV-E of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..asm.isa.base import Instruction, Op, get_isa
@@ -71,8 +71,8 @@ def parse_thread(
                     f"{thread}: address {address:#x} resolves to no symbol — "
                     f"missing metadata (paper §III-D accuracy bound)"
                 )
-            instr = replace(
-                instr, symbol=symbol.name, offset=address - symbol.address
+            instr = instr.evolve(
+                symbol=symbol.name, offset=address - symbol.address
             )
         resolved.append(instr)
     return resolved
@@ -115,7 +115,7 @@ def fold_got_loads(
                 and nxt.offset == 0
             ):
                 target = obj.got_entries[instr.symbol]
-                out.append(replace(instr, symbol=target, text=""))
+                out.append(instr.evolve(symbol=target, text=""))
                 stats.removed_got_loads += 1
                 i += 2
                 continue

@@ -512,3 +512,102 @@ class TestEventUniverse:
         uni = EventUniverse([0, 2, 7])
         mask = uni.mask_of([2, 7])
         assert uni.events_of(mask) == frozenset([2, 7])
+
+
+# --------------------------------------------------------------------- #
+# The closure and bracket kernels the cat suffix leans on
+# --------------------------------------------------------------------- #
+def naive_fixpoint(pairs):
+    """``r^+`` one pair at a time: add ``(a, c)`` for every ``(a, b)``,
+    ``(b, c)`` until nothing changes."""
+    out = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(out):
+            for c, d in list(out):
+                if b == c and (a, d) not in out:
+                    out.add((a, d))
+                    changed = True
+    return frozenset(out)
+
+
+def cycle_pairs(ids):
+    """Edges of the cycle through ``ids`` (one id: a self-loop)."""
+    return frozenset(zip(ids, ids[1:] + ids[:1]))
+
+
+cycles_strategy = st.lists(
+    st.lists(sparse_ids, min_size=1, max_size=5, unique=True), max_size=3
+)
+
+
+class TestWarshallClosure:
+    """``transitive_closure`` is a bitset-Warshall pass over the row keys."""
+
+    @given(cycles_strategy, sparse_pairs)
+    @settings(max_examples=80)
+    def test_matches_naive_fixpoint(self, cycles, extra):
+        pairs = frozenset(extra).union(*(cycle_pairs(c) for c in cycles))
+        assert as_pairs(Relation(pairs).transitive_closure()) == naive_fixpoint(pairs)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            {(5, 5)},  # a lone self-loop
+            {(67, 3), (3, 40), (40, 67)},  # a cycle over sparse ids
+            {(0, 11), (11, 67), (67, 2)},  # a chain across a word boundary
+            {(1, 1), (1, 2), (2, 3), (3, 2)},  # self-loop feeding a cycle
+        ],
+    )
+    def test_examples(self, pairs):
+        closure = Relation(pairs).transitive_closure()
+        assert as_pairs(closure) == naive_fixpoint(pairs)
+        assert closure.transitive_closure() == closure
+
+    @given(sparse_pairs)
+    def test_does_not_mutate_input(self, pairs):
+        relation = Relation(pairs)
+        relation.transitive_closure()
+        assert as_pairs(relation) == pairs
+
+
+class TestBracketMasking:
+    """``[S] ; r`` and ``r ; [S]`` as row masks equal the compositions
+    with ``Relation.identity`` they replace."""
+
+    @given(sparse_pairs, sparse_sets)
+    def test_mask_domain_is_identity_compose(self, r, keep):
+        relation = Relation(r)
+        mask = sum(1 << e for e in keep)
+        assert relation.mask_domain(mask) == Relation.identity(keep).compose(relation)
+
+    @given(sparse_pairs, sparse_sets)
+    def test_mask_range_is_compose_identity(self, r, keep):
+        relation = Relation(r)
+        mask = sum(1 << e for e in keep)
+        assert relation.mask_range(mask) == relation.compose(Relation.identity(keep))
+
+    @given(sparse_pairs, sparse_pairs, sparse_sets, sparse_sets, sparse_sets)
+    @settings(max_examples=60)
+    def test_compiled_chain_matches_binary_composition(self, r, s, a, b, c):
+        """The cat compiler's ``;``-chain kernel (leading, inner and
+        trailing brackets) against the plain binary composition."""
+        from repro.cat.interp import Binary, Bracket, CatEnv, Chain, Name, _compile_expr
+
+        env = CatEnv(
+            bindings={"r": Relation(r), "s": Relation(s), "A": a, "B": b, "C": c},
+            universe=frozenset(range(68)),
+            po=Relation.empty(),
+        )
+        operands = (
+            Bracket(Name("A")), Bracket(Name("B")), Name("r"),
+            Bracket(Name("C")), Name("s"), Bracket(Name("A")),
+        )
+        nested = operands[0]
+        for operand in operands[1:]:
+            nested = Binary(";", nested, operand)
+        chain = _compile_expr(Chain(";", operands))(env)
+        assert chain == _compile_expr(nested)(env)
+        brackets = Chain(";", (Bracket(Name("A")), Bracket(Name("B"))))
+        assert _compile_expr(brackets)(env) == Relation.identity(a & b)
