@@ -51,8 +51,10 @@ Every mode and backend evaluates the same thing: a frozen, picklable
 :class:`~repro.pipeline.campaign.CellSpec`, run by the one evaluator
 :func:`run_cell` and shaped by the one record shaper
 :func:`~repro.pipeline.campaign.shape_record`.  The serial and thread
-backends call it through the session's caches; process workers call it
-on a bounded worker-local toolchain.
+backends call it through the session's cell memo and toolchain; process
+workers call it on a bounded worker-local toolchain.  The source side
+runs first, through the toolchain's ``simulate-source`` stage (the only
+source cache), and each cell's own stage trace says whether it ran it.
 
 Extension surface note: the engine imports what it calls —
 ``ThreadPoolExecutor``, ``ProcessPoolExecutor``, ``run_test_tv`` and
@@ -70,14 +72,15 @@ from concurrent.futures import (
     as_completed,
 )
 from dataclasses import replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..cat.interp import Model
 from ..cat.registry import ARCH_MODEL, resolve_model
 from ..compiler.profiles import CompilerProfile
 from ..core.errors import ModelError, ReproError
 from ..herd.enumerate import Budget
-from ..herd.simulator import SimulationResult, simulate_c
+# perfbench/tracing.py wraps simulate_c and prepare from outside; nothing
+# in src/ calls them (ROADMAP item 3 removes them)
+from ..herd.simulator import simulate_c  # noqa: F401
 from ..hunt.reduce import ReductionError, reduce_test
 from ..hunt.scheduler import HuntScheduler
 from ..lang.ast import CLitmus
@@ -90,8 +93,8 @@ from ..pipeline.campaign import (
     shape_record,
 )
 from ..pipeline.telechat import run_differential, run_test_tv
-from ..toolchain import ArtifactCache, Toolchain, profile_signature
-from ..tools.l2c import prepare
+from ..toolchain import ArtifactCache, Toolchain, TraceEntry, profile_signature
+from ..tools.l2c import prepare  # noqa: F401
 from ..tools.mutate import DEFAULT_OPERATORS, MutationError
 from .events import (
     CampaignEvent,
@@ -117,23 +120,18 @@ def run_cell(
     spec: CellSpec,
     chain: Toolchain,
     profiles: Tuple[CompilerProfile, ...],
-    simulate_source: Optional[
-        Callable[[CellSpec, Model], SimulationResult]
-    ] = None,
+    trace: Optional[List[TraceEntry]] = None,
 ):
     """The one cell evaluator: ``spec``'s tv or differential composition.
 
     Models resolve against ``chain.models`` — the session overlay in
-    process, the global registry in a worker.  ``simulate_source``, when
-    given, runs the source side first — ``(spec, resolved source model)
-    -> SimulationResult`` — and its result seeds the composition, so a
-    cell whose source times out never compiles, on every backend alike.
+    process, the global registry in a worker.  The composition runs the
+    source side first, so a cell whose source times out never compiles,
+    on every backend alike.  ``trace`` collects the stages the cell
+    reached, even when one raises (see :func:`_ran_source`).
     """
     source_model = resolve_model(spec.source_model, chain.models)
     target_model = resolve_model(ARCH_MODEL[profiles[0].arch], chain.models)
-    source_result = None
-    if simulate_source is not None:
-        source_result = simulate_source(spec, source_model)
     run = run_differential if spec.pair else run_test_tv
     return run(
         spec.litmus,
@@ -142,36 +140,37 @@ def run_cell(
         target_model=target_model,
         augment=spec.augment,
         budget=Budget(max_candidates=spec.budget_candidates),
-        source_result=source_result,
         toolchain=chain,
+        trace=trace,
     )
 
 
-def _pool_cell(spec: CellSpec) -> Dict[str, object]:
+def _ran_source(trace: List[TraceEntry]) -> bool:
+    """Whether the traced cell produced its source simulation itself —
+    rather than replaying it from the ``simulate-source`` stage cache.
+    A producer that raised (a source timeout) counts as run."""
+    return any(
+        entry.artifact.stage == "simulate-source" and not entry.cached
+        for entry in trace
+    )
+
+
+def _pool_cell(spec: CellSpec) -> Tuple[Dict[str, object], bool]:
     """Evaluate one cell in a worker process.
 
     Returns the JSON-able verdict record — the cross-process (and
-    on-disk) currency.  The source side runs through the worker
-    toolchain's bounded simulate-source stage; ``source_simulated`` says
-    whether this cell missed that stage, and the parent folds the flag
-    into its de-duplicated source-simulation tally.  Profiles and models
+    on-disk) currency — and whether this cell ran its source simulation
+    in the worker's bounded toolchain; the parent folds the flag into
+    its de-duplicated source-simulation tally.  Profiles and models
     resolve against the *global* registries: session overlays do not
     cross the process boundary (the session refuses to try).
     """
-    chain = _WORKER_TOOLCHAIN
-    sources = chain.cache.stage("simulate-source")
-    misses_before = sources.misses
-
-    def simulate(spec: CellSpec, model: Model) -> SimulationResult:
-        prepared = chain.prepare(spec.litmus, augment=spec.augment)
-        budget = Budget(max_candidates=spec.budget_candidates)
-        return chain.simulate_source(prepared, model, budget=budget).result
-
+    trace: List[TraceEntry] = []
     record = shape_record(
-        spec, lambda: run_cell(spec, chain, spec.profiles(), simulate)
+        spec,
+        lambda: run_cell(spec, _WORKER_TOOLCHAIN, spec.profiles(), trace),
     )
-    record["source_simulated"] = sources.misses > misses_before
-    return record
+    return record, _ran_source(trace)
 
 
 def _run_pending(
@@ -181,8 +180,9 @@ def _run_pending(
 ) -> Iterator[Tuple[int, CellSpec, Dict[str, object]]]:
     """Stream ``(index, spec, record)`` for every pending cell under the
     plan's execution backend — the one backend selector every campaign
-    mode shares.  Sources a worker process simulated are folded into
-    ``ctx.simulated_sources`` as their records land.
+    mode shares.  Every backend's evaluator returns ``(record, ran
+    source)``; the sources cells ran are folded into
+    ``ctx.simulated_sources`` here, as their records land.
 
     Invariants: records arrive in *completion* order (events carry their
     deterministic index, so folding is order-independent); in the pool
@@ -193,9 +193,15 @@ def _run_pending(
     already running.  Serial execution propagates failures immediately,
     the historical behaviour.
     """
+    def landed(index: int, spec: CellSpec, outcome):
+        record, ran_source = outcome
+        if ran_source:
+            ctx.simulated_sources.add(ctx.source_key_of(spec.litmus))
+        return index, spec, record
+
     if not pending or (plan.processes == 0 and plan.workers <= 1):
         for index, spec in pending:
-            yield index, spec, ctx.evaluate(spec)
+            yield landed(index, spec, ctx.evaluate(spec))
         return
     if plan.processes > 0:
         pool = ProcessPoolExecutor(max_workers=plan.processes)
@@ -214,14 +220,12 @@ def _run_pending(
             for future in as_completed(future_map):
                 index, spec = future_map[future]
                 try:
-                    record = future.result()
+                    outcome = future.result()
                 except Exception as exc:
                     if first_error is None:
                         first_error = exc
                     continue
-                if record.get("source_simulated"):
-                    ctx.simulated_sources.add(ctx.source_key_of(spec.litmus))
-                yield index, spec, record
+                yield landed(index, spec, outcome)
         finally:
             for future in future_map:
                 future.cancel()
@@ -234,9 +238,9 @@ class _CellContext:
 
     Owns the session-resolved cache identity (model/arch signatures,
     resolved profile signatures, stage token — the PR 2 rule: verdicts
-    key by what names *resolve to*, never names alone), the hoisted
-    source simulation, and :meth:`evaluate`, the serial and thread
-    backends' face of :func:`run_cell`.
+    key by what names *resolve to*, never names alone), the tally of
+    source simulations cells ran, and :meth:`evaluate`, the serial and
+    thread backends' face of :func:`run_cell`.
     """
 
     def __init__(self, plan: CampaignPlan, session) -> None:
@@ -244,7 +248,6 @@ class _CellContext:
         self.source_model = plan.source_model
         self.augment = plan.augment
         self.budget_candidates = plan.budget_candidates
-        self.source_cache = session.source_cache
         self.result_cache = session.result_cache
         self.toolchain = session.toolchain()
         self.stages_token = session.stages_token()
@@ -282,28 +285,17 @@ class _CellContext:
             )
         return self._arch_sigs[arch]
 
-    # -- source hoisting ----------------------------------------------- #
+    # -- source-simulation identity ------------------------------------ #
     def source_key_of(self, litmus: CLitmus) -> Tuple:
         return (litmus.digest(), self.source_model, self.source_sig,
                 self.augment, self.budget_candidates)
 
-    def simulate_source(
-        self, spec: CellSpec, model: Model
-    ) -> SimulationResult:
-        key = self.source_key_of(spec.litmus)
-
-        def produce() -> SimulationResult:
-            self.simulated_sources.add(key)
-            return simulate_c(
-                prepare(spec.litmus, augment=self.augment),
-                model,
-                budget=Budget(max_candidates=self.budget_candidates),
-            )
-
-        return self.source_cache.get(key, produce)
-
     # -- one cell, in process ------------------------------------------ #
-    def evaluate(self, spec: CellSpec) -> Dict[str, object]:
+    def evaluate(self, spec: CellSpec) -> Tuple[Dict[str, object], bool]:
+        """``(record, ran source)`` for one cell — the cell memo answers
+        a repeat without touching the toolchain (an empty trace)."""
+        trace: List[TraceEntry] = []
+
         def produce():
             # the session's epoch overlay decides which compiler bugs this
             # cell simulates; the profile signatures carry those bug sets
@@ -316,13 +308,10 @@ class _CellContext:
                 self.augment, self.budget_candidates, self.stages_token,
             )
             return self.result_cache.get(
-                key,
-                lambda: run_cell(
-                    spec, self.toolchain, profiles, self.simulate_source
-                ),
+                key, lambda: run_cell(spec, self.toolchain, profiles, trace)
             )
 
-        return shape_record(spec, produce)
+        return shape_record(spec, produce), _ran_source(trace)
 
 
 def _lint_tests(tests, plan: CampaignPlan, what: str = "test") -> None:

@@ -2,10 +2,11 @@
 
 A :class:`Session` owns what used to be process-global mutable state —
 model/shape/ISA/epoch/baseline registries (as per-session overlays over
-the shipped globals), the source-simulation and result caches, a default
-budget, and an optional persistent :class:`CampaignStore`.  Two sessions
-never trample each other: a service can hold one per tenant, each with
-private models and profiles, over one shared process.
+the shipped globals), the staged toolchain with its artifact cache, a
+cell memo, a default budget, and an optional persistent
+:class:`CampaignStore`.  Two sessions never trample each other: a
+service can hold one per tenant, each with private models and profiles,
+over one shared process.
 
     >>> from repro.api import CampaignPlan, Session
     >>> session = Session()
@@ -30,10 +31,11 @@ from ..compiler.profiles import (
     make_profile,
     parse_profile,
 )
+from ..core.cache import KeyedCache
 from ..core.errors import ModelError, ReproError
 from ..herd.enumerate import Budget
 from ..lang.ast import CLitmus
-from ..pipeline.campaign import CampaignReport, ResultCache, SourceSimCache
+from ..pipeline.campaign import CampaignReport
 from ..pipeline.store import CampaignStore
 from ..pipeline.telechat import (
     DifferentialResult,
@@ -93,11 +95,12 @@ class Session:
             models=self.models,
             cache=ArtifactCache(max_entries=artifact_cache_entries),
         )
-
-        #: the in-memory caches every campaign in this session shares:
-        #: hoisted source simulations and whole-cell results
-        self.source_cache = SourceSimCache()
-        self.result_cache = ResultCache()
+        #: the cell memo every campaign in this session shares: whole
+        #: verdicts keyed by (test digest, profile signatures, source
+        #: model and its signature, arch-model signature, augment,
+        #: budget, stage token) — content and what names resolve to,
+        #: never names alone.  Timeouts and errors replay like verdicts.
+        self.result_cache = KeyedCache()
         if store is not None and not isinstance(store, CampaignStore):
             store = CampaignStore(store)
         self.store: Optional[CampaignStore] = store
@@ -105,6 +108,13 @@ class Session:
         #: warning-severity diagnostics collected from lint-validated
         #: registrations (errors raise instead of landing here)
         self.lint_warnings: list = []
+
+    @property
+    def source_cache(self) -> KeyedCache:
+        """The toolchain's ``simulate-source`` stage cache — the one
+        place this session caches source simulations (``misses`` counts
+        the simulations actually run)."""
+        return self._toolchain.cache.stage("simulate-source")
 
     # ------------------------------------------------------------------ #
     # registration
@@ -336,10 +346,10 @@ class Session:
         optimise: bool = True,
         unroll: int = 2,
         budget: Optional[Budget] = None,
-        source_result=None,
     ) -> TelechatResult:
         """Run test_tv on one C litmus test through the session's
-        registries and staged toolchain."""
+        registries and staged toolchain (source side first: a test whose
+        source simulation times out never compiles)."""
         resolved_profile = self.profile(profile)
         if budget is None and self.budget_candidates is not None:
             budget = Budget(max_candidates=self.budget_candidates)
@@ -355,7 +365,6 @@ class Session:
             optimise=optimise,
             unroll=unroll,
             budget=budget,
-            source_result=source_result,
             toolchain=self._toolchain,
         )
 

@@ -41,8 +41,8 @@ class SimulationResult:
     stats: EnumerationStats
     #: allowed executions paired with their outcome (kept only on request)
     executions: Tuple[Tuple[Execution, Outcome], ...] = ()
-    #: wall-clock the enumeration took.  Cached/hoisted consumers (the
-    #: campaign runner reuses one source simulation across many cells)
+    #: wall-clock the enumeration took.  Cached consumers (every cell of
+    #: a test replays its one source simulation from the toolchain cache)
     #: read the *original* cost from here instead of reporting zero.
     elapsed_seconds: float = 0.0
 

@@ -5,8 +5,6 @@ from .campaign import (
     CAMPAIGN_OPTS,
     CampaignCell,
     CampaignReport,
-    ResultCache,
-    SourceSimCache,
     merge_reports,
 )
 from .farm import (
@@ -50,8 +48,6 @@ __all__ = [
     "generate_corpus",
     "read_baseline",
     "write_baseline",
-    "ResultCache",
-    "SourceSimCache",
     "cell_key",
     "comparison_from_record",
     "merge_reports",

@@ -1,4 +1,4 @@
-"""Campaign reports, caches, cell specs and verdict records (paper Table IV).
+"""Campaign reports, cell specs and verdict records (paper Table IV).
 
 The campaign *runner* lives in :mod:`repro.api.engine`; this module owns
 the batch-side vocabulary every backend and mode shares:
@@ -6,15 +6,15 @@ the batch-side vocabulary every backend and mode shares:
 * :class:`CampaignReport` / :class:`CampaignCell` — the tally in the
   paper's Table IV layout, plus :func:`merge_reports` for folding shard
   reports back into the single-run table;
-* :class:`SourceSimCache` / :class:`ResultCache` — the exactly-once
-  in-memory caches (keyed by :meth:`CLitmus.digest` content identity,
-  never test names, so two different tests named ``LB001`` can't share
-  a verdict);
 * :class:`CellSpec` — one cell of any campaign mode as a frozen,
   picklable value: the work-list item, the store key and the identity
   half of its verdict record;
 * :func:`shape_record` — the single status contract the serial, thread
   and process backends and the persistent store all speak.
+
+No cache lives here.  A test's source simulation is cached once, by the
+toolchain's ``simulate-source`` stage (:mod:`repro.toolchain`), and a
+session memoises whole cells in ``Session.result_cache``.
 
 The reproduction target is the *shape* of Table IV, whatever the suite
 size: positives only on Armv8, Armv7, RISC-V and PowerPC (the Fig. 7
@@ -44,7 +44,6 @@ from ..compiler.profiles import (
     make_profile,
     parse_profile,
 )
-from ..core.cache import KeyedCache
 from ..core.errors import ReproError, SimulationTimeout
 from ..lang.ast import CLitmus
 from .store import STORE_SCHEMA, cell_key
@@ -107,34 +106,6 @@ class CampaignCell:
         self.errors += other.errors
 
 
-class SourceSimCache(KeyedCache):
-    """Source-side simulations keyed by
-    ``(test digest, source_model, augment, budget_candidates)``.
-
-    ``misses`` counts actual source simulations: a campaign simulates
-    each test's source side exactly once per source model, no matter how
-    many (arch × opt × compiler) cells consume it.
-    """
-
-    @property
-    def simulations(self) -> int:
-        return self.misses
-
-
-class ResultCache(KeyedCache):
-    """Full test_tv results keyed by
-    ``(test digest, profile, source_model, augment, budget_candidates)``.
-
-    Within one campaign every key is unique; a session's instance spans
-    all its runs (re-runs, Claim-4 style model sweeps over the same
-    suite), so already-tested cells are skipped entirely.  The campaign
-    parameters that change a cell's result are part of the key, so a
-    re-run with a different budget or augmentation re-simulates instead
-    of replaying stale verdicts (or stale timeouts) — and the *content*
-    digest means two different tests that share a name can never collide.
-    """
-
-
 @dataclass
 class CampaignReport:
     """The full campaign result: cells plus run metadata."""
@@ -153,7 +124,7 @@ class CampaignReport:
     #: the source-simulation cache keys behind ``source_simulations`` —
     #: kept so merging shard reports can de-duplicate across shards
     source_sim_keys: FrozenSet[Tuple] = frozenset()
-    #: cells answered from a shared in-memory ResultCache without re-running
+    #: cells answered from the session's cell memo without re-running
     cached_cells: int = 0
     #: cells replayed from the persistent store without re-running
     store_hits: int = 0

@@ -10,22 +10,22 @@ Since the toolchain redesign this module is a thin composition layer:
 the chain itself lives in :mod:`repro.toolchain` as typed, individually
 cached stages, and both entry points here — :func:`run_test_tv` and
 :func:`run_differential` — build on the same
-:class:`~repro.toolchain.Toolchain` graph.  The historical result and
-serialisation types (:class:`TelechatResult`,
+:class:`~repro.toolchain.Toolchain` graph, which runs the source side
+first and caches it in its ``simulate-source`` stage.  The historical
+result and serialisation types (:class:`TelechatResult`,
 :func:`outcomes_to_jsonable`, …) are re-exported from
 :mod:`repro.toolchain.results` unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import List, Optional, Union
 
 from ..cat.interp import Model
 from ..herd.enumerate import Budget
-from ..herd.simulator import SimulationResult
 from ..lang.ast import CLitmus
 from ..compiler.profiles import CompilerProfile
-from ..toolchain.chain import Toolchain
+from ..toolchain.chain import Toolchain, TraceEntry
 from ..toolchain.results import (  # noqa: F401  (re-exports: the store/tests import these from here)
     DifferentialResult,
     TelechatResult,
@@ -44,8 +44,8 @@ def run_test_tv(
     optimise: bool = True,
     unroll: int = 2,
     budget: Optional[Budget] = None,
-    source_result: Optional[SimulationResult] = None,
     toolchain: Optional[Toolchain] = None,
+    trace: Optional[List[TraceEntry]] = None,
 ) -> TelechatResult:
     """Run test_tv on one C litmus test under one compiler profile.
 
@@ -65,16 +65,15 @@ def run_test_tv(
             the non-terminating Fig. 11 configuration — bring a budget).
         unroll: loop unroll factor for source simulation.
         budget: enumeration budget for both simulations.
-        source_result: a pre-computed source-side simulation of this test
-            under ``source_model`` (the campaign runner hoists S′
-            simulation out of its per-cell loop and passes it here, so
-            each test's source side is simulated once per source model,
-            not once per cell).
         toolchain: the staged :class:`~repro.toolchain.Toolchain` to run
             over — sessions pass theirs so per-stage artifacts (compiled
             litmus tests, outcome sets) are reused across calls, models
-            and differential pairs.  ``None`` runs over a private
-            throwaway chain (the historical uncached behaviour).
+            and differential pairs; in particular each test's source side
+            is simulated once per source model, not once per profile.
+            ``None`` runs over a private throwaway chain (the historical
+            uncached behaviour).
+        trace: a list that collects every stage the run reached (see
+            :meth:`~repro.toolchain.Toolchain.run_tv`).
     """
     chain = toolchain if toolchain is not None else Toolchain()
     return chain.run_tv(
@@ -86,7 +85,7 @@ def run_test_tv(
         optimise=optimise,
         unroll=unroll,
         budget=budget,
-        source_result=source_result,
+        trace=trace,
     )
 
 
@@ -100,8 +99,8 @@ def run_differential(
     optimise: bool = True,
     unroll: int = 2,
     budget: Optional[Budget] = None,
-    source_result: Optional[SimulationResult] = None,
     toolchain: Optional[Toolchain] = None,
+    trace: Optional[List[TraceEntry]] = None,
 ) -> DifferentialResult:
     """Differential testing (paper §IV-D) over the staged toolchain:
     two compile→lift→simulate branches joined at one compare stage.
@@ -109,7 +108,8 @@ def run_differential(
     The engine entry point behind ``CampaignPlan(mode="differential")``
     and :meth:`repro.api.Session.differential`.  ``source_model``
     switches on the C-source undefined-behaviour oracle (racy sources
-    excuse the difference, verdict ``ub-masked``).
+    excuse the difference, verdict ``ub-masked``); it is simulated before
+    either profile compiles.
     """
     chain = toolchain if toolchain is not None else Toolchain()
     return chain.run_differential(
@@ -122,6 +122,6 @@ def run_differential(
         optimise=optimise,
         unroll=unroll,
         budget=budget,
-        source_result=source_result,
+        trace=trace,
     )
 

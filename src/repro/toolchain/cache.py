@@ -79,7 +79,8 @@ class ArtifactCache:
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Per-stage counters, for ``Session.toolchain()`` introspection
-        and the cache-reuse benchmark."""
+        and the cache-reuse benchmark.  Stages no lookup has reached are
+        left out (reading a stage's counters does not make it used)."""
         with self._lock:
             snapshot = dict(self._stages)
         return {
@@ -89,4 +90,5 @@ class ArtifactCache:
                 "entries": len(cache),
             }
             for name, cache in sorted(snapshot.items())
+            if cache.hits or cache.misses
         }

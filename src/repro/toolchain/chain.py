@@ -12,6 +12,12 @@ The two compositions are
   sharing the ``prepare`` artifact and, optionally, a C-source
   simulation as the undefined-behaviour oracle.
 
+Both compositions run the source side first — ``prepare →
+simulate-source`` before any ``compile`` — so a test whose source
+simulation times out never compiles, and the ``simulate-source`` stage
+is the one place a test's ``herd(S′, M_S)`` result is cached: every
+compiled cell of that test, on every backend, replays it from there.
+
 Because the cache is per *stage*, not per cell, re-running a test under
 a second target model reuses the compiled litmus, and a differential
 pair whose profiles also appear in a test_tv sweep reuses those
@@ -52,7 +58,6 @@ from ..compiler.profiles import CompilerProfile
 from ..core.errors import ModelError, ReproError
 from ..core.registry import Registry
 from ..herd.enumerate import Budget
-from ..herd.simulator import SimulationResult
 from ..lang.ast import CLitmus
 from .artifacts import (
     Artifact,
@@ -73,7 +78,13 @@ from .stages import STAGES, Stage
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One stage execution (or cache replay) observed by a traced run."""
+    """One stage execution (or cache replay) observed by a traced run.
+
+    A stage that raised (produced by this call or replayed from the
+    cache) leaves a bare :class:`Artifact` carrying only its stage and
+    key, so a trace records which producers ran even when the run did
+    not finish.
+    """
 
     artifact: Artifact
     cached: bool
@@ -158,17 +169,21 @@ class Toolchain:
     ) -> Artifact:
         stage = self.stages.get(name)
         key = make_key(name, stage.signature(**sig_params), inputs)
-        produced: List[Artifact] = []
+        produced: List[bool] = []
 
         def produce() -> Artifact:
-            artifact = stage.run(key, **run_params)
-            produced.append(artifact)
-            return artifact
+            produced.append(True)
+            return stage.run(key, **run_params)
 
-        artifact = self.cache.get(name, key, produce)
-        if trace is not None:
-            trace.append(TraceEntry(artifact=artifact, cached=not produced))
-        return artifact
+        # the bare artifact stands in when the stage raises, so the trace
+        # still says whether this call's producer ran
+        artifact = Artifact(key=key, stage=name, inputs=inputs)
+        try:
+            artifact = self.cache.get(name, key, produce)
+            return artifact
+        finally:
+            if trace is not None:
+                trace.append(TraceEntry(artifact=artifact, cached=not produced))
 
     # ------------------------------------------------------------------ #
     # individual stages
@@ -233,62 +248,15 @@ class Toolchain:
         budget: Optional[Budget] = None,
         keep_executions: bool = False,
         trace: Optional[List[TraceEntry]] = None,
-        seed: Optional[SimulationResult] = None,
     ) -> OutcomeSet:
-        """Source-side herd run.  ``seed`` injects a pre-computed
-        simulation (the campaign runner hoists source simulation out of
-        its per-cell loop) under the key this stage would have used, so
-        later differential/explain calls replay it from the cache."""
-        sig = {
-            "model_sig": model_key(model, self.models),
-            "unroll": unroll,
-            "budget": budget,
-            "keep_executions": keep_executions,
-        }
-        if seed is not None:
-            # a hoisted result is cached session-wide under *this call's*
-            # key; a seed simulated under a different model would poison
-            # every later consumer, so the one part of its provenance a
-            # SimulationResult records — the model — is checked here
-            expected = model.name if isinstance(model, Model) else str(model)
-            try:
-                expected = self.models.resolve(expected)
-                provided = self.models.resolve(seed.model_name)
-            except Exception:
-                provided = expected  # unregistered models: trust the caller
-            if provided != expected:
-                raise ReproError(
-                    f"source_result was simulated under "
-                    f"{seed.model_name!r} but this run asked for "
-                    f"{expected!r} — refusing to cache a mismatched hoist"
-                )
-            stage = self.stages.get("simulate-source")
-            key = make_key(
-                "simulate-source", stage.signature(**sig), (prepared.key,)
-            )
-            inserted: List[OutcomeSet] = []
-
-            def seeded() -> OutcomeSet:
-                artifact = OutcomeSet(
-                    key=key,
-                    stage="simulate-source",
-                    inputs=(prepared.key,),
-                    seconds=seed.elapsed_seconds,
-                    result=seed,
-                    side="source",
-                )
-                inserted.append(artifact)
-                return artifact
-
-            artifact = self.cache.get("simulate-source", key, seeded)
-            if trace is not None:
-                trace.append(
-                    TraceEntry(artifact=artifact, cached=not inserted)
-                )
-            return artifact
         return self._run(
             "simulate-source",
-            sig,
+            {
+                "model_sig": model_key(model, self.models),
+                "unroll": unroll,
+                "budget": budget,
+                "keep_executions": keep_executions,
+            },
             {
                 "prepared": prepared,
                 "model": self._model(model),
@@ -361,28 +329,29 @@ class Toolchain:
         optimise: bool = True,
         unroll: int = 2,
         budget: Optional[Budget] = None,
-        source_result: Optional[SimulationResult] = None,
         keep_executions: bool = False,
         trace: Optional[List[TraceEntry]] = None,
     ) -> TelechatResult:
         """Translation validation of one test under one profile — the
-        Fig. 5 chain as a composition over the cached stage graph."""
-        t: List[TraceEntry] = []
+        Fig. 5 chain as a composition over the cached stage graph.
+
+        The source side runs first, so a test whose source simulation
+        times out never compiles.  ``trace`` collects every stage this
+        call reached, in order, even when one of them raises."""
+        t: List[TraceEntry] = trace if trace is not None else []
         prepared = self.prepare(litmus, augment=augment, trace=t)
-        compiled = self.compile(prepared, profile, trace=t)
-        lifted = self.lift(prepared, compiled, optimise=optimise, trace=t)
         source_out = self.simulate_source(
             prepared, source_model, unroll=unroll, budget=budget,
-            keep_executions=keep_executions, trace=t, seed=source_result,
+            keep_executions=keep_executions, trace=t,
         )
+        source_reused = t[-1].cached
+        compiled = self.compile(prepared, profile, trace=t)
+        lifted = self.lift(prepared, compiled, optimise=optimise, trace=t)
         target_out = self.simulate_target(
             lifted, target_model, budget=budget,
             keep_executions=keep_executions, trace=t,
         )
         verdict = self.compare(source_out, target_out, prepared, trace=t)
-        if trace is not None:
-            trace.extend(t)
-        cached = {e.artifact.stage: e.cached for e in t}
         return TelechatResult(
             test_name=litmus.name,
             profile=profile,
@@ -394,12 +363,7 @@ class Toolchain:
             source_seconds=source_out.seconds,
             target_seconds=target_out.seconds,
             compile_seconds=compiled.seconds + lifted.seconds,
-            source_reused=bool(
-                source_result is not None or cached.get("simulate-source")
-            ),
-            compile_reused=bool(
-                cached.get("compile") and cached.get("lift")
-            ),
+            source_reused=source_reused,
             artifacts=artifact_keys(
                 prepared, compiled, lifted, source_out, target_out, verdict
             ),
@@ -417,7 +381,6 @@ class Toolchain:
         optimise: bool = True,
         unroll: int = 2,
         budget: Optional[Budget] = None,
-        source_result: Optional[SimulationResult] = None,
         keep_executions: bool = False,
         trace: Optional[List[TraceEntry]] = None,
     ) -> DifferentialResult:
@@ -427,17 +390,25 @@ class Toolchain:
         Unlike the old hand-rolled path this shares the toolchain's
         artifact cache — each (test, profile) compiles once no matter how
         many pairs or test_tv sweeps also need it — and runs the *full*
-        s2l optimiser on both branches.  ``source_model`` (or a hoisted
-        ``source_result``) switches on the undefined-behaviour oracle:
-        the C source is simulated once and racy tests excuse the
-        difference, exactly as in test_tv.
+        s2l optimiser on both branches.  ``source_model`` switches on the
+        undefined-behaviour oracle: the C source is simulated once, before
+        either branch compiles, and racy tests excuse the difference,
+        exactly as in test_tv.  ``trace`` is filled as in :meth:`run_tv`.
         """
         if profile_a.arch != profile_b.arch:
             raise ReproError(
                 "differential testing requires a common architecture"
             )
-        t: List[TraceEntry] = []
+        t: List[TraceEntry] = trace if trace is not None else []
         prepared = self.prepare(litmus, augment=augment, trace=t)
+        source_out: Optional[OutcomeSet] = None
+        source_reused = False
+        if source_model is not None:
+            source_out = self.simulate_source(
+                prepared, source_model, unroll=unroll, budget=budget,
+                keep_executions=keep_executions, trace=t,
+            )
+            source_reused = t[-1].cached
 
         def branch(profile: CompilerProfile):
             compiled = self.compile(prepared, profile, trace=t)
@@ -452,15 +423,7 @@ class Toolchain:
         compiled_b, lifted_b, out_b = branch(profile_b)
         verdict = self.compare(out_a, out_b, prepared, trace=t)
         comparison = verdict.comparison
-
-        source_out: Optional[OutcomeSet] = None
-        if source_model is not None or source_result is not None:
-            source_out = self.simulate_source(
-                prepared,
-                source_model if source_model is not None else "rc11",
-                unroll=unroll, budget=budget,
-                keep_executions=keep_executions, trace=t, seed=source_result,
-            )
+        if source_out is not None:
             # the oracle overrides the UB flag mcompare read off branch a
             # (an asm simulation never carries C-level data-race UB)
             comparison = dc_replace(
@@ -472,14 +435,7 @@ class Toolchain:
             # its closing verdict line would mislead; the cached verdict
             # artifact stays oracle-independent on purpose
             overridden = dc_replace(verdict, comparison=comparison)
-            for i, entry in enumerate(t):
-                if entry.artifact is verdict:
-                    t[i] = TraceEntry(
-                        artifact=overridden, cached=entry.cached
-                    )
-        if trace is not None:
-            trace.extend(t)
-        cached = {e.artifact.stage: e.cached for e in t}
+            t[-1] = TraceEntry(artifact=overridden, cached=t[-1].cached)
 
         artifacts = artifact_keys(prepared, verdict, source_out)
         for suffix, compiled, lifted, out in (
@@ -489,9 +445,6 @@ class Toolchain:
             artifacts[f"compile:{suffix}"] = compiled.key
             artifacts[f"lift:{suffix}"] = lifted.key
             artifacts[f"simulate-target:{suffix}"] = out.key
-        model_name = ""
-        if source_out is not None:
-            model_name = source_out.result.model_name
         return DifferentialResult(
             test_name=litmus.name,
             profile_a=profile_a,
@@ -504,13 +457,9 @@ class Toolchain:
             stats_a=lifted_a.stats,
             stats_b=lifted_b.stats,
             source_result=source_out.result if source_out else None,
-            source_model=model_name,
+            source_model=source_out.result.model_name if source_out else "",
             source_seconds=source_out.seconds if source_out else 0.0,
-            source_reused=bool(
-                source_out is not None
-                and (source_result is not None
-                     or cached.get("simulate-source"))
-            ),
+            source_reused=source_reused,
             compile_seconds=(
                 compiled_a.seconds + lifted_a.seconds
                 + compiled_b.seconds + lifted_b.seconds

@@ -81,18 +81,15 @@ class TelechatResult:
     compiled: AsmLitmus
     s2l_stats: S2LStats
     #: wall-clock of the source simulation.  Always the *real* cost of
-    #: producing the outcome set — when the simulation was hoisted or
-    #: cache-replayed (``source_reused``), this is the original run's
+    #: producing the outcome set — when the simulation was replayed from
+    #: the cache (``source_reused``), this is the original run's
     #: duration, not zero, so campaign timing totals stay honest.
     source_seconds: float
     target_seconds: float
     compile_seconds: float
-    #: True when the source simulation was reused (hoisted or cached)
-    #: rather than run inside this call
+    #: True when the source simulation was replayed from the toolchain's
+    #: ``simulate-source`` cache rather than run inside this call
     source_reused: bool = False
-    #: True when compile+lift were replayed from the per-stage artifact
-    #: cache rather than run inside this call
-    compile_reused: bool = False
     #: ``{stage: artifact key}`` into the toolchain cache (empty when the
     #: run bypassed the staged toolchain)
     artifacts: Dict[str, str] = field(default_factory=dict)

@@ -143,6 +143,8 @@ def mcompare(
 
 #: record fields that legitimately vary run-to-run (wall-clock, cache
 #: luck, artifact keys) — stripped before any baseline comparison.
+#: ``source_simulated`` is no longer written, but process-backend records
+#: in stores from earlier versions still carry it.
 VOLATILE_FIELDS = ("seconds", "artifacts", "source_reused", "source_simulated")
 
 #: the outcome-set fields of tv and differential verdict records.

@@ -7,6 +7,7 @@
 * the campaign's source-simulation and result caches + worker pool.
 """
 
+import sys
 import time
 
 import pytest
@@ -28,7 +29,6 @@ from repro.lang import parse_c_litmus
 from repro.lang.semantics import elaborate
 from repro.papertests import fig7_lb, fig10_mp_rmw, fig11_lb3
 from repro.api import CampaignPlan, Session
-from repro.pipeline.campaign import ResultCache
 from repro.tools.diy import DiyConfig
 
 COWW = """
@@ -248,7 +248,7 @@ class TestCampaignCaches:
         ))
         assert report.tests_input > 0
         assert report.source_simulations == report.tests_input
-        assert cache.simulations == report.tests_input
+        assert cache.misses == report.tests_input
         # 8 cells per test consumed the cached source
         assert cache.hits == report.compiled_tests - cache.misses
 
@@ -286,9 +286,10 @@ class TestCampaignCaches:
             )
 
     def test_cache_replays_errors(self):
+        from repro.core.cache import KeyedCache
         from repro.core.errors import ReproError
 
-        cache = ResultCache()
+        cache = KeyedCache()
         calls = []
 
         def explode():
@@ -301,18 +302,53 @@ class TestCampaignCaches:
         assert len(calls) == 1
         assert cache.misses == 1 and cache.hits == 1
 
+    def test_thread_backend_counts_only_cold_sources(self):
+        """Run 2 covers T1 ∪ T2 on four threads after run 1 warmed T1's
+        sources: only T2's source simulations are reported, exactly,
+        although T1's new cells miss the cell memo and run concurrently."""
+        from repro.tools.diy import build_test, get_shape
+
+        t1 = [build_test(get_shape(s), "rlx", name=f"T1_{s}")
+              for s in ("LB", "MP")]
+        t2 = [build_test(get_shape(s), "rlx", name=f"T2_{s}")
+              for s in ("SB", "S", "R")]
+        session = Session()
+        first = session.run(CampaignPlan(
+            tests=t1, arches=("aarch64",), opts=("-O2",),
+            compilers=("llvm",),
+        ))
+        assert first.source_simulations == len(t1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the workers finely
+        try:
+            second = session.run(CampaignPlan(
+                tests=t1 + t2, arches=("aarch64",), opts=("-O1", "-O2"),
+                compilers=("llvm", "gcc"), workers=4,
+            ))
+        finally:
+            sys.setswitchinterval(interval)
+        assert second.cached_cells == len(t1)  # the -O2 llvm cells
+        assert second.source_simulations == len(t2)
+        assert {key[0] for key in second.source_sim_keys} == {
+            t.digest() for t in t2
+        }
+
     def test_telechat_source_reuse_flag(self):
         from repro.compiler import make_profile
         from repro.pipeline import run_test_tv
-        from repro.tools.l2c import prepare
+        from repro.toolchain import Toolchain
 
         litmus = fig7_lb()
-        profile = make_profile("llvm", "-O3", "aarch64")
-        source = simulate_c(prepare(litmus, augment=True), "rc11")
-        hoisted = run_test_tv(litmus, profile, source_result=source)
-        inline = run_test_tv(litmus, profile)
-        assert hoisted.source_reused and not inline.source_reused
-        assert hoisted.verdict == inline.verdict
-        # a hoisted source simulation reports the *original* run's cost,
+        chain = Toolchain()
+        first = run_test_tv(
+            litmus, make_profile("llvm", "-O3", "aarch64"), toolchain=chain
+        )
+        second = run_test_tv(
+            litmus, make_profile("llvm", "-O2", "aarch64"), toolchain=chain
+        )
+        assert second.source_reused and not first.source_reused
+        assert second.source_result is first.source_result
+        assert chain.cache.misses("simulate-source") == 1
+        # a replayed source simulation reports the *original* run's cost,
         # not zero — campaign timing totals must not under-report
-        assert hoisted.source_seconds == source.elapsed_seconds > 0.0
+        assert second.source_seconds == first.source_seconds > 0.0

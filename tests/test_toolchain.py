@@ -19,7 +19,8 @@ import pytest
 
 from repro.api import CampaignPlan, PlanError, Session
 from repro.compiler.profiles import make_profile
-from repro.core.errors import ReproError
+from repro.core.errors import ReproError, SimulationTimeout
+from repro.herd.enumerate import Budget
 from repro.papertests import fig7_lb
 from repro.pipeline.store import CampaignStore
 from repro.pipeline.telechat import run_differential
@@ -110,6 +111,65 @@ class TestArtifactGraph:
         # the second target simulation did run (same model resolved by
         # default vs explicitly — same key, so it replays too)
         assert stats["simulate-target"]["misses"] == 1
+
+
+class TestSourceFirst:
+    """Both compositions simulate the source before anything compiles,
+    so a test whose source times out never reaches ``compile``."""
+
+    def test_session_test_source_timeout_never_compiles(self):
+        session = Session()
+        with pytest.raises(SimulationTimeout):
+            session.test(fig7_lb(), PROFILE_B,
+                         budget=Budget(max_candidates=1))
+        cache = session.toolchain().cache
+        assert cache.misses("simulate-source") == 1
+        assert cache.misses("compile") == 0
+
+    def test_serial_campaign_source_timeout_never_compiles(self):
+        session = Session()
+        report = session.run(CampaignPlan(
+            tests=[fig7_lb()], arches=("aarch64",), opts=("-O2", "-O3"),
+            compilers=("llvm",), budget_candidates=1,
+        ))
+        assert report.cells[("aarch64", "-O2", "llvm")].timeouts == 1
+        assert report.cells[("aarch64", "-O3", "llvm")].timeouts == 1
+        # the timed-out simulation ran once and counts once
+        assert report.source_simulations == 1
+        cache = session.toolchain().cache
+        assert cache.misses("simulate-source") == 1
+        assert cache.misses("compile") == 0
+
+    def test_trace_runs_source_before_compile(self):
+        session = Session()
+        tv = session.explain(fig7_lb(), PROFILE_B)
+        assert [e.artifact.stage for e in tv.entries][:3] == [
+            "prepare", "simulate-source", "compile",
+        ]
+        diff = session.explain(fig7_lb(), PROFILE_A,
+                               differential_with=PROFILE_B)
+        assert [e.artifact.stage for e in diff.entries][:3] == [
+            "prepare", "simulate-source", "compile",
+        ]
+
+    def test_trace_records_a_stage_that_raised(self):
+        """A producer that raised is still in the trace — how a campaign
+        counts a timed-out source simulation exactly once."""
+        chain = Toolchain()
+        litmus = fig7_lb()
+        profile = make_profile("llvm", "-O2", "aarch64")
+        budget = Budget(max_candidates=1)
+        traces = [[], []]
+        for trace in traces:
+            with pytest.raises(SimulationTimeout):
+                chain.run_tv(litmus, profile, budget=budget, trace=trace)
+        produced, replayed = traces
+        assert [(e.artifact.stage, e.cached) for e in produced] == [
+            ("prepare", False), ("simulate-source", False),
+        ]
+        assert [(e.artifact.stage, e.cached) for e in replayed] == [
+            ("prepare", True), ("simulate-source", True),
+        ]
 
 
 class TestDifferentialToolchain:
@@ -266,7 +326,9 @@ class TestDifferentialCampaigns:
         warm = warm_session.campaign(plan).report()
         assert warm.store_hits == len(tests)
         assert warm.source_simulations == 0  # nothing re-simulated
-        assert warm_session.toolchain().cache.stats() == {}  # untouched
+        assert warm_session.source_cache.misses == 0
+        # untouched: reading the source cache's counters uses no stage
+        assert warm_session.toolchain().cache.stats() == {}
         # verdict parity between the cold run and the store replay
         assert json.dumps(
             {k and "|".join(k): (c.positive, c.negative, c.equal)
@@ -472,19 +534,6 @@ class TestSessionToolchain:
         after = session.campaign(plan).report()
         assert after.cached_cells == 0  # re-simulated, not replayed
         assert after.total_positive() == 0
-
-    def test_seed_model_mismatch_refused(self):
-        """A hoisted source_result simulated under a different model
-        must not be cached under this run's key (session-wide poison)."""
-        from repro.herd.simulator import simulate_c
-        from repro.tools.l2c import prepare
-
-        litmus = fig7_lb()
-        wrong = simulate_c(prepare(litmus), "rc11+lb")
-        session = Session()
-        with pytest.raises(ReproError, match="mismatched hoist"):
-            session.test(litmus, PROFILE_B, source_model="rc11",
-                         source_result=wrong)
 
     def test_bounded_artifact_cache_recomputes_instead_of_growing(self):
         from repro.toolchain import ArtifactCache
