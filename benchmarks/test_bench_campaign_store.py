@@ -37,9 +37,11 @@ COMPILERS = ("llvm", "gcc")
 
 def _run(store=None, **fields):
     """The Table IV slice in a fresh session over ``store``."""
-    return Session(store=store).run(CampaignPlan(
-        config=CONFIG, arches=ARCHES, opts=OPTS, compilers=COMPILERS, **fields
-    ))
+    with Session(store=store) as session:
+        return session.run(CampaignPlan(
+            config=CONFIG, arches=ARCHES, opts=OPTS, compilers=COMPILERS,
+            **fields,
+        ))
 
 
 def _campaign(**kwargs):

@@ -9,7 +9,7 @@ from benchmarks._report import banner, row
 
 from repro.compiler import make_profile
 from repro.papertests import fig9_lb_plain
-from repro.pipeline import run_test_tv
+from repro.toolchain import Toolchain
 
 
 def test_bench_fig9_local_variable_problem(benchmark):
@@ -17,8 +17,8 @@ def test_bench_fig9_local_variable_problem(benchmark):
     profile = make_profile("llvm", "-O2", "aarch64")
 
     def both():
-        bare = run_test_tv(litmus, profile, augment=False)
-        augmented = run_test_tv(litmus, profile, augment=True)
+        bare = Toolchain().run_tv(litmus, profile, augment=False)
+        augmented = Toolchain().run_tv(litmus, profile, augment=True)
         return bare, augmented
 
     bare, augmented = benchmark(both)

@@ -11,7 +11,7 @@ from benchmarks._report import banner, row
 
 from repro.compiler import make_profile
 from repro.core.events import MemoryOrder
-from repro.pipeline import run_test_tv
+from repro.toolchain import Toolchain
 from repro.tools.diy import DiyConfig, generate
 
 #: the c11_acq.conf analogue: acquire/release decorated families.
@@ -34,8 +34,8 @@ def test_bench_ldapr_case_study(benchmark):
         for litmus in tests:
             verdicts.append(
                 (
-                    run_test_tv(litmus, ldar),
-                    run_test_tv(litmus, ldapr),
+                    Toolchain().run_tv(litmus, ldar),
+                    Toolchain().run_tv(litmus, ldapr),
                 )
             )
         return verdicts

@@ -13,7 +13,7 @@ from repro.baselines import c4_test, cmmtest_check, validc_check
 from repro.compiler import make_profile
 from repro.lang.parser import parse_c_litmus
 from repro.papertests import FIG10_SOURCE, fig10_mp_rmw
-from repro.pipeline import run_test_tv
+from repro.toolchain import Toolchain
 
 
 def test_bench_table1_techniques(benchmark):
@@ -31,7 +31,7 @@ def test_bench_table1_techniques(benchmark):
 
     def run_all():
         return {
-            "telechat": run_test_tv(litmus, buggy).found_bug,
+            "telechat": Toolchain().run_tv(litmus, buggy).found_bug,
             "c4": c4_test(historical, buggy, chip="thunderx2",
                           runs=300, seed=0, stress=True).found_bug,
             "cmmtest": bool(cmmtest_check(litmus, buggy).warnings),

@@ -11,7 +11,7 @@ Run:  python examples/bug_hunting.py
 from repro.compiler import bugs, make_profile
 from repro.lang.parser import parse_c_litmus
 from repro.papertests import atomics_128, fig1_exchange, fig10_mp_rmw
-from repro.pipeline import run_test_tv
+from repro.toolchain import Toolchain
 
 STP_ENDIAN = """
 C stp_endian
@@ -32,7 +32,7 @@ exists (P0:r0=5)
 def report(title, litmus, profiles, extra=None):
     print(f"\n== {title} ==")
     for label, profile in profiles:
-        result = run_test_tv(litmus, profile)
+        result = Toolchain().run_tv(litmus, profile)
         line = f"  {label:24s} -> {result.verdict}"
         if extra:
             line += f"   {extra(result)}"
@@ -90,7 +90,7 @@ def main() -> None:
         ("llvm-11 v8.4 (pre-fix)", make_profile("llvm", "-O2", "aarch64", version=11, v84=True)),
         ("llvm-17 v8.4 (fixed)", make_profile("llvm", "-O2", "aarch64", version=17, v84=True)),
     ]:
-        result = run_test_tv(parse_c_litmus(CONST_LOAD, "const_load"), profile)
+        result = Toolchain().run_tv(parse_c_litmus(CONST_LOAD, "const_load"), profile)
         crash = result.target_result.has_const_violation
         print(f"  {label:24s} -> {'RUN-TIME CRASH (write to .rodata)' if crash else 'clean'}")
 

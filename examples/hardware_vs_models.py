@@ -15,7 +15,7 @@ from repro.baselines import c4_test
 from repro.compiler import make_profile
 from repro.hw import get_chip, list_chips, run_on_hardware
 from repro.papertests import fig7_lb
-from repro.pipeline import run_test_tv
+from repro.toolchain import Toolchain
 from repro.tools import assembly_to_litmus, compile_and_disassemble, prepare
 
 
@@ -49,7 +49,7 @@ def main() -> None:
 
     print("\n== T´el´echat (test_tv: model outcomes vs source model) ==")
     for run in (1, 2):
-        result = run_test_tv(litmus, profile)
+        result = Toolchain().run_tv(litmus, profile)
         print(f"  run {run}: verdict={result.verdict} "
               f"({len(result.comparison.positive)} new outcome(s)) "
               f"— identical every time, on any machine")

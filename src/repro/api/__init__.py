@@ -11,8 +11,8 @@
   stream back into the batch :class:`~repro.pipeline.campaign.CampaignReport`.
 
 For one test, :meth:`Session.test` runs the Fig. 5 chain; the bare
-engine calls behind it are :func:`repro.pipeline.run_test_tv` and
-:func:`repro.pipeline.run_differential`.
+calls behind it are :meth:`repro.toolchain.Toolchain.run_tv` and
+:meth:`~repro.toolchain.Toolchain.run_differential`.
 """
 
 from .engine import (

@@ -48,29 +48,28 @@ Invariants the rest of the system builds on:
   finished cell.
 
 Every mode and backend evaluates the same thing: a frozen, picklable
-:class:`~repro.pipeline.campaign.CellSpec`, run by the one evaluator
-:func:`run_cell` and shaped by the one record shaper
-:func:`~repro.pipeline.campaign.shape_record`.  The serial and thread
-backends call it through the session's cell memo and toolchain; process
-workers call it on a bounded worker-local toolchain.  The source side
-runs first, through the toolchain's ``simulate-source`` stage (the only
-source cache), and each cell's own stage trace says whether it ran it.
-
-Extension surface note: the engine imports what it calls —
-``ThreadPoolExecutor``, ``ProcessPoolExecutor``, ``run_test_tv`` and
-``run_differential`` are names of this module, looked up at call time,
-so tests and embedders swap them here.
+:class:`~repro.pipeline.campaign.CellSpec`, answered by the session's
+cell memo, run by the one evaluator :func:`run_cell` on a miss and
+shaped by the one record shaper
+:func:`~repro.pipeline.campaign.shape_record`, all in this process.
+The backends differ only in who produces a memo miss: the session's
+toolchain (serial and threads), or a worker of the session's one
+process pool, which runs the cell on its own bounded toolchain and
+sends the raw result back.  The source side runs first, through the
+toolchain's ``simulate-source`` stage (the only source cache), and
+each cell's own stage trace says whether it ran it.  Tests that need
+to intercept a cell patch :class:`~repro.toolchain.Toolchain`'s
+``run_tv``/``run_differential``; workers see a patch only if it is made
+before the session's pool forks — before the session's first
+``processes`` run, or after ``session.close()``.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -92,7 +91,6 @@ from ..pipeline.campaign import (
     merge_reports,
     shape_record,
 )
-from ..pipeline.telechat import run_differential, run_test_tv
 from ..toolchain import ArtifactCache, Toolchain, TraceEntry, profile_signature
 from ..tools.l2c import prepare  # noqa: F401
 from ..tools.mutate import DEFAULT_OPERATORS, MutationError
@@ -110,9 +108,10 @@ from .plan import CampaignPlan, PlanError
 #: per-process staged toolchain — artifact keys are content addresses, so
 #: worker-local caches stay sound and reuse compiles across that worker's
 #: cells exactly like the in-process path does.  The cache is *bounded*:
-#: workers live as long as the pool, and artifacts hold disassembly
-#: listings and outcome sets — an unbounded cache would grow linearly
-#: with the cells a worker evaluates (a 10k-test campaign would OOM).
+#: workers live as long as the session's pool, and artifacts hold
+#: disassembly listings and outcome sets — an unbounded cache would grow
+#: linearly with the cells a worker evaluates (a 10k-test campaign would
+#: OOM).
 _WORKER_TOOLCHAIN = Toolchain(cache=ArtifactCache(max_entries=512))
 
 
@@ -132,7 +131,7 @@ def run_cell(
     """
     source_model = resolve_model(spec.source_model, chain.models)
     target_model = resolve_model(ARCH_MODEL[profiles[0].arch], chain.models)
-    run = run_differential if spec.pair else run_test_tv
+    run = chain.run_differential if spec.pair else chain.run_tv
     return run(
         spec.litmus,
         *profiles,
@@ -140,7 +139,6 @@ def run_cell(
         target_model=target_model,
         augment=spec.augment,
         budget=Budget(max_candidates=spec.budget_candidates),
-        toolchain=chain,
         trace=trace,
     )
 
@@ -155,22 +153,20 @@ def _ran_source(trace: List[TraceEntry]) -> bool:
     )
 
 
-def _pool_cell(spec: CellSpec) -> Tuple[Dict[str, object], bool]:
-    """Evaluate one cell in a worker process.
-
-    Returns the JSON-able verdict record — the cross-process (and
-    on-disk) currency — and whether this cell ran its source simulation
-    in the worker's bounded toolchain; the parent folds the flag into
-    its de-duplicated source-simulation tally.  Profiles and models
-    resolve against the *global* registries: session overlays do not
-    cross the process boundary (the session refuses to try).
+def _worker_cell(spec: CellSpec) -> Tuple[object, bool]:
+    """Produce one memo miss in a pool worker: the raw result, or the
+    :class:`ReproError` the cell raised, and whether it ran its source
+    simulation.  The parent re-raises the error, so its memo replays
+    timeouts and errors exactly like locally produced ones.  Profiles and
+    models resolve against the *global* registries: session overlays do
+    not cross the process boundary (the session refuses to try).
     """
     trace: List[TraceEntry] = []
-    record = shape_record(
-        spec,
-        lambda: run_cell(spec, _WORKER_TOOLCHAIN, spec.profiles(), trace),
-    )
-    return record, _ran_source(trace)
+    try:
+        result = run_cell(spec, _WORKER_TOOLCHAIN, spec.profiles(), trace)
+    except ReproError as exc:
+        result = exc
+    return result, _ran_source(trace)
 
 
 def _run_pending(
@@ -180,57 +176,65 @@ def _run_pending(
 ) -> Iterator[Tuple[int, CellSpec, Dict[str, object]]]:
     """Stream ``(index, spec, record)`` for every pending cell under the
     plan's execution backend — the one backend selector every campaign
-    mode shares.  Every backend's evaluator returns ``(record, ran
-    source)``; the sources cells ran are folded into
-    ``ctx.simulated_sources`` here, as their records land.
+    mode shares.  Every cell goes through :meth:`_CellContext.evaluate`;
+    ``processes`` only hands its memo misses to the session's process
+    pool, waited on by twice as many threads, so each worker has its next
+    miss queued while the parent shapes the last one.  The sources cells ran are folded
+    into ``ctx.simulated_sources`` here, as their records land.
 
     Invariants: records arrive in *completion* order (events carry their
-    deterministic index, so folding is order-independent); in the pool
-    branch an unexpected exception from one cell never discards the
-    verdicts of cells that still ran (everything streams, then the first
-    failure re-raises); a consumer that abandons the stream early cancels
-    everything still queued, so pool shutdown only waits for the cells
-    already running.  Serial execution propagates failures immediately,
-    the historical behaviour.
+    deterministic index, so folding is order-independent); on a pool an
+    unexpected exception from one cell never discards the verdicts of
+    cells that still ran (everything streams, then the first failure
+    re-raises); a consumer that abandons the stream early cancels
+    everything still queued, so it only waits for the cells already
+    running.  Serial execution propagates failures immediately.  A
+    worker that dies breaks the process pool: the session drops it, and
+    its next run starts a fresh one.
     """
+    # started here, in the consumer's thread, so workers fork before
+    # any of this run's threads exist
+    process_pool = (
+        ctx.session._process_pool(plan.processes)
+        if pending and plan.processes > 0 else None
+    )
+
     def landed(index: int, spec: CellSpec, outcome):
         record, ran_source = outcome
         if ran_source:
             ctx.simulated_sources.add(ctx.source_key_of(spec.litmus))
         return index, spec, record
 
-    if not pending or (plan.processes == 0 and plan.workers <= 1):
-        for index, spec in pending:
-            yield landed(index, spec, ctx.evaluate(spec))
-        return
-    if plan.processes > 0:
-        pool = ProcessPoolExecutor(max_workers=plan.processes)
-        evaluate = _pool_cell
-    else:
-        pool = ThreadPoolExecutor(max_workers=plan.workers)
-        evaluate = ctx.evaluate
-    first_error: Optional[BaseException] = None
-    # the with-block shuts the pool down even when an unexpected
-    # exception escapes, so workers never leak
-    with pool:
-        future_map = {}
-        try:
+    try:
+        threads = 2 * plan.processes or plan.workers
+        if not pending or threads <= 1:
             for index, spec in pending:
-                future_map[pool.submit(evaluate, spec)] = (index, spec)
-            for future in as_completed(future_map):
-                index, spec = future_map[future]
-                try:
-                    outcome = future.result()
-                except Exception as exc:
-                    if first_error is None:
-                        first_error = exc
-                    continue
-                yield landed(index, spec, outcome)
-        finally:
-            for future in future_map:
-                future.cancel()
-    if first_error is not None:
-        raise first_error
+                yield landed(index, spec, ctx.evaluate(spec, process_pool))
+            return
+        first_error: Optional[BaseException] = None
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            future_map = {}
+            try:
+                for index, spec in pending:
+                    future = pool.submit(ctx.evaluate, spec, process_pool)
+                    future_map[future] = (index, spec)
+                for future in as_completed(future_map):
+                    index, spec = future_map[future]
+                    try:
+                        outcome = future.result()
+                    except Exception as exc:
+                        if first_error is None:
+                            first_error = exc
+                        continue
+                    yield landed(index, spec, outcome)
+            finally:
+                for future in future_map:
+                    future.cancel()
+        if first_error is not None:
+            raise first_error
+    except BrokenProcessPool:
+        ctx.session.close()
+        raise
 
 
 class _CellContext:
@@ -239,8 +243,8 @@ class _CellContext:
     Owns the session-resolved cache identity (model/arch signatures,
     resolved profile signatures, stage token — the PR 2 rule: verdicts
     key by what names *resolve to*, never names alone), the tally of
-    source simulations cells ran, and :meth:`evaluate`, the serial and
-    thread backends' face of :func:`run_cell`.
+    source simulations cells ran, and :meth:`evaluate`, every backend's
+    face of :func:`run_cell`.
     """
 
     def __init__(self, plan: CampaignPlan, session) -> None:
@@ -291,10 +295,24 @@ class _CellContext:
                 self.augment, self.budget_candidates)
 
     # -- one cell, in process ------------------------------------------ #
-    def evaluate(self, spec: CellSpec) -> Tuple[Dict[str, object], bool]:
+    def evaluate(
+        self, spec: CellSpec, process_pool=None
+    ) -> Tuple[Dict[str, object], bool]:
         """``(record, ran source)`` for one cell — the cell memo answers
-        a repeat without touching the toolchain (an empty trace)."""
+        a repeat without touching the toolchain or a worker.  A miss runs
+        on the session's toolchain, or on a worker of ``process_pool``."""
         trace: List[TraceEntry] = []
+        ran_in_worker = False
+
+        def run(profiles):
+            nonlocal ran_in_worker
+            if process_pool is None:
+                return run_cell(spec, self.toolchain, profiles, trace)
+            future = process_pool.submit(_worker_cell, spec)
+            result, ran_in_worker = future.result()
+            if isinstance(result, ReproError):
+                raise result
+            return result
 
         def produce():
             # the session's epoch overlay decides which compiler bugs this
@@ -307,11 +325,10 @@ class _CellContext:
                 self.source_model, self.source_sig, self.arch_sig(spec.arch),
                 self.augment, self.budget_candidates, self.stages_token,
             )
-            return self.result_cache.get(
-                key, lambda: run_cell(spec, self.toolchain, profiles, trace)
-            )
+            return self.result_cache.get(key, lambda: run(profiles))
 
-        return shape_record(spec, produce), _ran_source(trace)
+        record = shape_record(spec, produce)
+        return record, ran_in_worker or _ran_source(trace)
 
 
 def _lint_tests(tests, plan: CampaignPlan, what: str = "test") -> None:

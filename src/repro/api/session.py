@@ -3,21 +3,26 @@
 A :class:`Session` owns what used to be process-global mutable state —
 model/shape/ISA/epoch/baseline registries (as per-session overlays over
 the shipped globals), the staged toolchain with its artifact cache, a
-cell memo, a default budget, and an optional persistent
-:class:`CampaignStore`.  Two sessions never trample each other: a
-service can hold one per tenant, each with private models and profiles,
-over one shared process.
+cell memo, a worker process pool, a default budget, and an optional
+persistent :class:`CampaignStore`.  Two sessions never trample each
+other: a service can hold one per tenant, each with private models and
+profiles, over one shared process.
 
     >>> from repro.api import CampaignPlan, Session
-    >>> session = Session()
-    >>> result = session.test(litmus, "llvm-O3-AArch64")
-    >>> for event in session.campaign(CampaignPlan(config=my_config)):
-    ...     print(event.as_dict())
+    >>> with Session() as session:
+    ...     result = session.test(litmus, "llvm-O3-AArch64")
+    ...     for event in session.campaign(CampaignPlan(config=my_config)):
+    ...         print(event.as_dict())
+
+The ``with`` block (or :meth:`Session.close`) shuts down the process
+pool the session starts for the first plan that asks for ``processes``.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Optional, Set, Tuple, Union
 
 from ..asm.isa.base import ISAS, Isa, ensure_registered
@@ -37,14 +42,9 @@ from ..herd.enumerate import Budget
 from ..lang.ast import CLitmus
 from ..pipeline.campaign import CampaignReport
 from ..pipeline.store import CampaignStore
-from ..pipeline.telechat import (
-    DifferentialResult,
-    TelechatResult,
-    run_differential,
-    run_test_tv,
-)
 from ..hunt.reduce import ReductionResult, reduce_test
 from ..toolchain import STAGES, ArtifactCache, Stage, Toolchain, ToolchainTrace
+from ..toolchain.results import DifferentialResult, TelechatResult
 from ..tools.diy import SHAPES, Shape
 from ..tools.mutate import MUTATIONS
 from ..tools.sources import TestSource
@@ -108,6 +108,53 @@ class Session:
         #: warning-severity diagnostics collected from lint-validated
         #: registrations (errors raise instead of landing here)
         self.lint_warnings: list = []
+        #: the worker process pool every ``processes`` plan in this session
+        #: shares, and what it was started for — see :meth:`_process_pool`
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_key: Tuple[int, ...] = ()
+        self._pool_lock = threading.Lock()
+
+    def __enter__(self) -> "Session":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _process_pool(self, processes: int) -> ProcessPoolExecutor:
+        """The session's worker process pool with ``processes`` workers.
+
+        Started the first time a plan asks for processes and reused by
+        every later campaign, shard and farm baseline cell.  Workers are
+        forked copies of the global registries they resolve cells
+        against, so a different ``processes`` count, or a global model,
+        epoch, ISA or stage registered since the fork, replaces the pool.
+        The workers are forked here, in the caller's thread, before a run
+        starts any threads of its own.
+        """
+        key = (processes,) + tuple(
+            registry.generation for registry in (MODELS, EPOCHS, ISAS, STAGES)
+        )
+        with self._pool_lock:
+            if self._pool is not None and self._pool_key == key:
+                return self._pool
+            stale, self._pool = self._pool, None
+            if stale is not None:
+                stale.shutdown()
+            pool = ProcessPoolExecutor(max_workers=processes)
+            pool.submit(int).result()  # fork every worker now
+            self._pool, self._pool_key = pool, key
+            return pool
+
+    def close(self) -> None:
+        """Shut down the session's process pool, if one was started.
+
+        The session stays usable: the next plan that asks for processes
+        starts a fresh pool (the engine closes a pool a dead worker
+        broke the same way)."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     @property
     def source_cache(self) -> KeyedCache:
@@ -356,7 +403,7 @@ class Session:
         target = target_model
         if target is None:
             target = self.arch_model(resolved_profile.arch)
-        return run_test_tv(
+        return self._toolchain.run_tv(
             litmus,
             resolved_profile,
             source_model=self.model(source_model),
@@ -365,7 +412,6 @@ class Session:
             optimise=optimise,
             unroll=unroll,
             budget=budget,
-            toolchain=self._toolchain,
         )
 
     def differential(
@@ -391,7 +437,7 @@ class Session:
         resolved_source = (
             None if source_model is None else self.model(source_model)
         )
-        return run_differential(
+        return self._toolchain.run_differential(
             litmus,
             self.profile(profile_a),
             self.profile(profile_b),
@@ -403,13 +449,12 @@ class Session:
             optimise=optimise,
             unroll=unroll,
             budget=budget,
-            toolchain=self._toolchain,
         )
 
     def toolchain(self) -> "Toolchain":
         """The session's staged tool-chain — run stages individually,
         inspect ``.describe()`` (stage inventory + per-stage cache
-        counters), or pass to the bare engine entry points."""
+        counters), or call ``run_tv``/``run_differential`` on it directly."""
         return self._toolchain
 
     def explain(

@@ -111,18 +111,6 @@ class Instruction:
     def is_branch(self) -> bool:
         return self.op in (Op.BCOND, Op.CBZ, Op.CBNZ, Op.B)
 
-    @property
-    def is_memory_access(self) -> bool:
-        return self.op in (
-            Op.LOAD,
-            Op.STORE,
-            Op.LOADPAIR,
-            Op.STOREPAIR,
-            Op.AMO,
-            Op.LDX,
-            Op.STX,
-        )
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.text or f"{self.op.value} {self.dst or ''}"
 

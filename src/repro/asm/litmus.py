@@ -49,9 +49,6 @@ class AsmThread:
             return int(self.name[1:])
         raise ValueError(f"thread name {self.name!r} is not of the form Pn")
 
-    def observable_names(self) -> Tuple[str, ...]:
-        return tuple(sorted(f"{self.name}:{v}" for v in self.observed.values()))
-
 
 @dataclass
 class AsmLitmus(LitmusBase):

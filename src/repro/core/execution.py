@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
-from .events import Event, MemoryOrder
+from .events import Event
 from .relations import Relation
 
 
@@ -132,20 +132,9 @@ class Execution:
     def tagged(self, tag: str) -> FrozenSet[int]:
         return frozenset(e.eid for e in self.events if e.has_tag(tag))
 
-    def with_order_at_least(self, *orders: MemoryOrder) -> FrozenSet[int]:
-        wanted = set(orders)
-        return frozenset(e.eid for e in self.events if e.order in wanted)
-
     def atomics(self) -> FrozenSet[int]:
         return frozenset(
             e.eid for e in self.events if e.is_access and e.order.is_atomic
-        )
-
-    def non_atomics(self) -> FrozenSet[int]:
-        return frozenset(
-            e.eid
-            for e in self.events
-            if e.is_access and not e.order.is_atomic and not e.is_init
         )
 
     def locations(self) -> FrozenSet[str]:

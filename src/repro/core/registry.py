@@ -82,6 +82,10 @@ class Registry(Generic[T]):
         self._aliases: Dict[str, str] = {}
         self._meta: Dict[str, Dict[str, object]] = {}
         self._lock = threading.Lock()
+        #: bumped by every :meth:`register` and :meth:`alias`, so a holder
+        #: of a snapshot of this table (a forked worker process) can tell
+        #: that it went stale
+        self.generation = 0
 
     # ------------------------------------------------------------------ #
     # registration
@@ -114,6 +118,7 @@ class Registry(Generic[T]):
             self._meta[key] = dict(meta)
             for alias in aliases:
                 self._aliases[self._normalise(alias)] = key
+            self.generation += 1
         return value
 
     def alias(self, alias: str, target: str) -> None:
@@ -121,6 +126,7 @@ class Registry(Generic[T]):
         key = self.resolve(target)
         with self._lock:
             self._aliases[self._normalise(alias)] = key
+            self.generation += 1
 
     # ------------------------------------------------------------------ #
     # lookup

@@ -550,9 +550,6 @@ class EventUniverse:
     def relation(self, pairs: Iterable[Pair] = ()) -> Relation:
         return Relation(pairs)
 
-    def relation_from_rows(self, rows: Mapping[int, int]) -> Relation:
-        return Relation.from_rows(rows)
-
 
 class RelationBuilder:
     """A mutable accumulator for building a :class:`Relation` incrementally.

@@ -60,9 +60,6 @@ class SimulationResult:
     def witnesses(self, condition: Condition) -> List[Outcome]:
         return condition.witnesses(self.outcomes)
 
-    def pretty_outcomes(self) -> str:
-        return "\n".join(str(o) for o in sorted(self.outcomes, key=lambda o: o.bindings))
-
 
 def run_programs(
     name: str,

@@ -66,11 +66,6 @@ class EventTemplate:
         if self.kind is EventKind.WRITE and self.value_expr is None:
             raise ValueError("write template needs a value expression")
 
-    def data_dep_placeholders(self) -> FrozenSet[int]:
-        if self.value_expr is None:
-            return frozenset()
-        return self.value_expr.reads()
-
 
 @dataclass(frozen=True)
 class PathConstraint:

@@ -193,9 +193,6 @@ class CLitmus(LitmusBase):
     #: locations declared const (read-only memory) — paper §IV-E.
     const_locations: Tuple[str, ...] = ()
 
-    def thread_names(self) -> Tuple[str, ...]:
-        return tuple(t.name for t in self.threads)
-
     def digest(self) -> str:
         """A stable content digest of this test.
 

@@ -1,4 +1,9 @@
-"""The Telechat pipeline: test_tv driver, campaign runner, store, CLI."""
+"""The Telechat pipeline: campaign report, farm corpus, store, CLI.
+
+The Fig. 5 test_tv chain itself is :meth:`repro.toolchain.Toolchain.run_tv`
+(or :meth:`repro.api.Session.test`); its result types live in
+:mod:`repro.toolchain.results`.
+"""
 
 from .campaign import (
     ARCH_DISPLAY,
@@ -21,15 +26,6 @@ from .farm import (
     write_baseline,
 )
 from .store import CampaignStore, cell_key, record_key
-from .telechat import (
-    DifferentialResult,
-    TelechatResult,
-    comparison_from_record,
-    outcomes_from_jsonable,
-    outcomes_to_jsonable,
-    run_differential,
-    run_test_tv,
-)
 
 __all__ = [
     "ARCH_DISPLAY",
@@ -49,13 +45,6 @@ __all__ = [
     "read_baseline",
     "write_baseline",
     "cell_key",
-    "comparison_from_record",
     "merge_reports",
-    "outcomes_from_jsonable",
-    "outcomes_to_jsonable",
     "record_key",
-    "run_differential",
-    "run_test_tv",
-    "DifferentialResult",
-    "TelechatResult",
 ]

@@ -175,37 +175,36 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         profiles=tuple(args.differential) if differential else None,
     )
     store = CampaignStore(args.store) if args.store else None
-    session = Session(store=store)
-
     if args.progress is None:
         progress = sys.stderr.isatty() and not args.json
     else:
         progress = args.progress
 
-    stream = session.campaign(plan)
-    cells_total = 0
-    done = 0
-    for event in stream:
-        if args.json:
-            print(json.dumps(event.as_dict(), sort_keys=True))
-        if isinstance(event, CellFinished):
-            done += 1
-            if progress:
-                origin = " (store)" if event.from_store else ""
+    with Session(store=store) as session:
+        stream = session.campaign(plan)
+        cells_total = 0
+        done = 0
+        for event in stream:
+            if args.json:
+                print(json.dumps(event.as_dict(), sort_keys=True))
+            if isinstance(event, CellFinished):
+                done += 1
+                if progress:
+                    origin = " (store)" if event.from_store else ""
+                    print(
+                        f"[{done}/{cells_total or '?'}] {event.test} "
+                        f"{event.arch} {event.opt} {event.compiler}: "
+                        f"{event.verdict or event.status}{origin}",
+                        file=sys.stderr,
+                    )
+            elif progress and hasattr(event, "cells_total"):
+                cells_total = event.cells_total
                 print(
-                    f"[{done}/{cells_total or '?'}] {event.test} "
-                    f"{event.arch} {event.opt} {event.compiler}: "
-                    f"{event.verdict or event.status}{origin}",
+                    f"campaign: {event.tests_input} tests, "
+                    f"{event.cells_total} cells ({event.pending} to run)",
                     file=sys.stderr,
                 )
-        elif progress and hasattr(event, "cells_total"):
-            cells_total = event.cells_total
-            print(
-                f"campaign: {event.tests_input} tests, "
-                f"{event.cells_total} cells ({event.pending} to run)",
-                file=sys.stderr,
-            )
-    report = stream.report()
+        report = stream.report()
     if not args.json:
         print(report.table())
         if store is not None:
@@ -244,7 +243,6 @@ def _run_farm(args: argparse.Namespace, bless: bool) -> int:
     from .farm import FarmError
 
     store = CampaignStore(args.store) if args.store else None
-    session = Session(store=store)
     if args.progress is None:
         progress = sys.stderr.isatty() and not args.json
     else:
@@ -252,52 +250,53 @@ def _run_farm(args: argparse.Namespace, bless: bool) -> int:
 
     drift = 0
     reports: List[str] = []
-    try:
-        plan = FarmPlan(
-            root=args.root,
-            suites=tuple(args.suites) if args.suites else None,
-            profiles=tuple(args.profiles) if args.profiles else None,
-            source_model=args.cmem,
-            workers=args.workers,
-            processes=args.processes,
-            bless=bless,
-        )
-        for event in session.farm(plan):
-            if args.json:
-                print(json.dumps(event.as_dict(), sort_keys=True))
-            if isinstance(event, FarmStarted):
-                if progress:
-                    print(
-                        f"farm {event.root}: {len(event.suites)} suite(s), "
-                        f"{event.baselines} baseline cell(s), "
-                        f"{event.tests_total} tests",
-                        file=sys.stderr,
-                    )
-            elif isinstance(event, CellFinished):
-                if progress:
-                    origin = " (store)" if event.from_store else ""
-                    print(
-                        f"  {event.test} {event.arch} {event.opt} "
-                        f"{event.compiler}: "
-                        f"{event.verdict or event.status}{origin}",
-                        file=sys.stderr,
-                    )
-            elif isinstance(event, SuiteFinished):
-                reports.append(event.report)
-                if progress:
-                    state = "blessed" if event.blessed else (
-                        f"{event.drift} drifting" if event.drift else "clean"
-                    )
-                    print(
-                        f"{event.suite} @ {event.profile} [{event.model}]: "
-                        f"{event.records} records, {state}",
-                        file=sys.stderr,
-                    )
-            elif isinstance(event, FarmFinished):
-                drift = event.drift
-    except (FarmError, PlanError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    with Session(store=store) as session:
+        try:
+            plan = FarmPlan(
+                root=args.root,
+                suites=tuple(args.suites) if args.suites else None,
+                profiles=tuple(args.profiles) if args.profiles else None,
+                source_model=args.cmem,
+                workers=args.workers,
+                processes=args.processes,
+                bless=bless,
+            )
+            for event in session.farm(plan):
+                if args.json:
+                    print(json.dumps(event.as_dict(), sort_keys=True))
+                if isinstance(event, FarmStarted):
+                    if progress:
+                        print(
+                            f"farm {event.root}: {len(event.suites)} suite(s), "
+                            f"{event.baselines} baseline cell(s), "
+                            f"{event.tests_total} tests",
+                            file=sys.stderr,
+                        )
+                elif isinstance(event, CellFinished):
+                    if progress:
+                        origin = " (store)" if event.from_store else ""
+                        print(
+                            f"  {event.test} {event.arch} {event.opt} "
+                            f"{event.compiler}: "
+                            f"{event.verdict or event.status}{origin}",
+                            file=sys.stderr,
+                        )
+                elif isinstance(event, SuiteFinished):
+                    reports.append(event.report)
+                    if progress:
+                        state = "blessed" if event.blessed else (
+                            f"{event.drift} drifting" if event.drift else "clean"
+                        )
+                        print(
+                            f"{event.suite} @ {event.profile} [{event.model}]: "
+                            f"{event.records} records, {state}",
+                            file=sys.stderr,
+                        )
+                elif isinstance(event, FarmFinished):
+                    drift = event.drift
+        except (FarmError, PlanError) as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
     if not args.json:
         for report in reports:
             print(report)
@@ -383,36 +382,37 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
     positives = []  # CellFinished events, first per digest
     seen_positive = set()
     reductions = []  # TestReduced events
-    for event in session.hunt(plan):
-        if args.json:
-            print(json.dumps(event.as_dict(), sort_keys=True))
-        if isinstance(event, CellFinished):
-            if event.verdict == "positive" and event.digest not in seen_positive:
-                seen_positive.add(event.digest)
-                positives.append(event)
-            if progress:
-                print(
-                    f"  {event.test} {event.arch} {event.opt} "
-                    f"{event.compiler}: {event.verdict or event.status}",
-                    file=sys.stderr,
-                )
-        elif isinstance(event, HuntProgress):
-            if progress:
-                print(
-                    f"round {event.round_index}: {event.cells} cells, "
-                    f"{event.positives} positive tests so far, "
-                    f"{event.scheduled} mutants scheduled",
-                    file=sys.stderr,
-                )
-        elif isinstance(event, TestReduced):
-            reductions.append(event)
-            if progress:
-                print(
-                    f"reduced {event.test}: {event.original_statements} -> "
-                    f"{event.reduced_statements} statements "
-                    f"({event.steps} steps, {event.checks} checks)",
-                    file=sys.stderr,
-                )
+    with session:
+        for event in session.hunt(plan):
+            if args.json:
+                print(json.dumps(event.as_dict(), sort_keys=True))
+            if isinstance(event, CellFinished):
+                if event.verdict == "positive" and event.digest not in seen_positive:
+                    seen_positive.add(event.digest)
+                    positives.append(event)
+                if progress:
+                    print(
+                        f"  {event.test} {event.arch} {event.opt} "
+                        f"{event.compiler}: {event.verdict or event.status}",
+                        file=sys.stderr,
+                    )
+            elif isinstance(event, HuntProgress):
+                if progress:
+                    print(
+                        f"round {event.round_index}: {event.cells} cells, "
+                        f"{event.positives} positive tests so far, "
+                        f"{event.scheduled} mutants scheduled",
+                        file=sys.stderr,
+                    )
+            elif isinstance(event, TestReduced):
+                reductions.append(event)
+                if progress:
+                    print(
+                        f"reduced {event.test}: {event.original_statements} -> "
+                        f"{event.reduced_statements} statements "
+                        f"({event.steps} steps, {event.checks} checks)",
+                        file=sys.stderr,
+                    )
 
     if not args.json:
         if not positives:

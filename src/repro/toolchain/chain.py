@@ -4,9 +4,8 @@
 graph and owns a per-stage :class:`~repro.toolchain.cache.ArtifactCache`.
 The two compositions are
 
-* :meth:`Toolchain.run_tv` — translation validation: source vs compiled
-  (what ``run_test_tv`` always did, now with every intermediate product
-  cached under its content address);
+* :meth:`Toolchain.run_tv` — translation validation: source vs compiled,
+  with every intermediate product cached under its content address;
 * :meth:`Toolchain.run_differential` — compiler vs compiler (§IV-D):
   two compile→lift→simulate branches joined at one compare stage,
   sharing the ``prepare`` artifact and, optionally, a C-source

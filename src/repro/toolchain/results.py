@@ -1,15 +1,13 @@
 """Result records of the two tool-chain compositions.
 
-:class:`TelechatResult` (one test_tv run: source vs compiled) moved here
-from :mod:`repro.pipeline.telechat` when the chain was decomposed into
-stages — the pipeline module re-exports it, so existing imports keep
-working.  :class:`DifferentialResult` is its §IV-D sibling: two
-compilations of the same source compared against each other, with the
-C source optionally simulated as an undefined-behaviour oracle.
+:class:`TelechatResult` is one test_tv run: source vs compiled.
+:class:`DifferentialResult` is its §IV-D sibling: two compilations of
+the same source compared against each other, with the C source
+optionally simulated as an undefined-behaviour oracle.
 
 Both carry ``artifacts`` — the ``{stage: key}`` map into the toolchain's
 content-addressed cache — and both serialise to the JSON-able verdict
-records the campaign store and the process-pool backend exchange.
+records the campaign store persists.
 """
 
 from __future__ import annotations
@@ -179,10 +177,6 @@ class DifferentialResult:
     @property
     def verdict(self) -> str:
         return self.comparison.verdict()
-
-    @property
-    def found_difference(self) -> bool:
-        return self.comparison.is_positive
 
     @property
     def profile_pair(self) -> str:

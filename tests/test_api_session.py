@@ -2,6 +2,9 @@
 stream↔batch parity guarantee."""
 
 import json
+import os
+import pathlib
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -15,8 +18,12 @@ from repro.api import (
     ShardMerged,
     fold_events,
 )
+from repro.api import session as session_module
 from repro.cat.registry import MODELS, get_source
+from repro.toolchain import Toolchain
 from repro.tools.diy import DiyConfig, build_test, get_shape, small_config
+
+CORPUS = pathlib.Path(__file__).parent / "corpus"
 
 CONFIG = DiyConfig(
     shapes=("LB",), orders=("rlx",), fences=(None,),
@@ -38,10 +45,11 @@ def report_bytes(report):
 
 def batch_run(**kwargs):
     """The batch API: one plan, run and folded in a throwaway session."""
-    return Session().run(CampaignPlan(
-        config=CONFIG, arches=PLAN.arches, opts=PLAN.opts,
-        compilers=PLAN.compilers, **kwargs,
-    ))
+    with Session() as session:
+        return session.run(CampaignPlan(
+            config=CONFIG, arches=PLAN.arches, opts=PLAN.opts,
+            compilers=PLAN.compilers, **kwargs,
+        ))
 
 
 # --------------------------------------------------------------------------- #
@@ -200,7 +208,8 @@ class TestParity:
             config=CONFIG, arches=PLAN.arches, opts=PLAN.opts,
             compilers=PLAN.compilers, processes=2,
         )
-        folded = Session().campaign(plan).report()
+        with Session() as session:
+            folded = session.campaign(plan).report()
         assert report_bytes(folded) == report_bytes(batch_run(processes=2))
 
     def test_serial_thread_process_agree(self, batch_serial):
@@ -221,13 +230,13 @@ class TestParity:
         """Serial, thread and process backends fold to the same bytes when
         cells time out — source simulations included, which a worker
         reports from its own toolchain's simulate-source stage."""
-        reports = [
-            Session().run(CampaignPlan(
-                config=small_config(), arches=("aarch64",), opts=("-O2",),
-                budget_candidates=budget, **backend,
-            ))
-            for backend in ({}, {"workers": 2}, {"processes": 2})
-        ]
+        reports = []
+        for backend in ({}, {"workers": 2}, {"processes": 2}):
+            with Session() as session:
+                reports.append(session.run(CampaignPlan(
+                    config=small_config(), arches=("aarch64",),
+                    opts=("-O2",), budget_candidates=budget, **backend,
+                )))
         folded = set()
         for report in reports:
             data = report.to_jsonable(include_timing=False)
@@ -237,6 +246,27 @@ class TestParity:
         serial = reports[0]
         assert sum(c.timeouts for c in serial.cells.values()) == timeouts
         assert serial.source_simulations == 7
+
+    @pytest.mark.parametrize(
+        "backend", [{}, {"workers": 2}, {"processes": 2}],
+        ids=["serial", "threads", "processes"],
+    )
+    def test_same_session_rerun_is_answered_by_the_memo(self, backend):
+        """A repeat in one session is all memo hits on every backend:
+        no cell reaches the toolchain or a worker, so no source is
+        simulated again."""
+        plan = CampaignPlan(
+            config=small_config(), arches=("aarch64", "x86_64"),
+            opts=("-O1", "-O2"), **backend,
+        )
+        with Session() as session:
+            cold = session.run(plan)
+            warm = session.run(plan)
+        assert cold.source_simulations == 7
+        assert warm.cached_cells == 56
+        assert warm.source_simulations == 0
+        assert warm.positives == cold.positives
+        assert warm.cells == cold.cells
 
     def test_sharded_stream_merges_to_single_run(self):
         session = Session()
@@ -278,8 +308,9 @@ class TestFarmParity:
         root = tmp_path / "corpus"
         shutil.copytree(corpus_template, root)
         plan = FarmPlan(root=str(root), bless=True, **plan_fields)
-        for event in Session().farm(plan):
-            pass
+        with Session() as session:
+            for event in session.farm(plan):
+                pass
         baseline_dir = root / "baselines"
         return {
             path.name: path.read_bytes()
@@ -298,6 +329,156 @@ class TestFarmParity:
         }
         assert serial == threaded
         assert serial == pooled
+
+
+# --------------------------------------------------------------------------- #
+# the session's process pool
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def pools(monkeypatch):
+    """Every process pool a session builds while the test runs."""
+    built = []
+
+    class CountingPool(session_module.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(session_module, "ProcessPoolExecutor", CountingPool)
+    return built
+
+
+def _is_shut_down(pool) -> bool:
+    try:
+        pool.submit(int).result()
+    except RuntimeError:  # also BrokenProcessPool
+        return True
+    return False
+
+
+class TestProcessPool:
+    def test_one_pool_serves_every_farm_pass(self, pools):
+        """Every baseline cell of a farm pass, and every later pass, runs
+        on the one pool the session started."""
+        from repro.api import FarmFinished, FarmPlan
+
+        plan = FarmPlan(root=str(CORPUS), processes=2)
+        with Session() as session:
+            cold = list(session.farm(plan))
+            assert len(pools) == 1
+            hits = session.result_cache.hits
+            warm = list(session.farm(plan))
+            assert len(pools) == 1
+            assert session.result_cache.hits - hits == 444
+        assert _is_shut_down(pools[0])
+        for events in (cold, warm):
+            assert events[-1] == FarmFinished(
+                baselines=6, cells=444, drift=0, blessed=0,
+                elapsed_seconds=events[-1].elapsed_seconds,
+            )
+
+    def test_pool_starts_lazily_and_closes(self, pools):
+        def plan(**backend):
+            return CampaignPlan(config=CONFIG, arches=("aarch64",),
+                                opts=("-O2",), compilers=("llvm",),
+                                **backend)
+
+        session = Session()
+        session.run(plan(workers=2))
+        assert pools == []  # no plan asked for processes
+        session.run(plan(processes=2))
+        session.run(plan(processes=2, budget_candidates=10))
+        assert len(pools) == 1
+        session.run(plan(processes=1, budget_candidates=20))
+        assert len(pools) == 2  # a new size replaces the pool
+        assert _is_shut_down(pools[0])
+        session.close()
+        assert _is_shut_down(pools[1])
+        session.close()  # idempotent
+        # a closed session stays usable: the next plan starts a new pool
+        session.run(plan(processes=1, budget_candidates=30))
+        assert len(pools) == 3
+        session.close()
+
+    def test_global_registration_after_fork_reaches_workers(
+        self, pools, monkeypatch
+    ):
+        """Workers are forked copies of the global registries: a model
+        registered (or re-registered) globally after the session's pool
+        started replaces the pool, so no worker resolves a stale or
+        missing definition."""
+        for table in ("_entries", "_aliases", "_meta"):
+            monkeypatch.setattr(MODELS, table, dict(getattr(MODELS, table)))
+
+        def positives(**plan):
+            events = list(session.campaign(CampaignPlan(
+                config=CONFIG, arches=("aarch64",), opts=("-O2",),
+                compilers=("llvm",), processes=2, **plan)))
+            cells = [e for e in events if isinstance(e, CellFinished)]
+            assert cells and all(e.status == "ok" for e in cells)
+            return sum(e.verdict == "positive" for e in cells)
+
+        with Session() as session:
+            under_rc11 = positives()
+            assert under_rc11 > 0 and len(pools) == 1
+            MODELS.register("rc11_global", get_source("rc11"))
+            assert positives(source_model="rc11_global") == under_rc11
+            assert len(pools) == 2
+            MODELS.register("rc11_global", get_source("rc11+lb"))
+            assert positives(source_model="rc11_global") == 0
+            assert len(pools) == 3
+            assert positives() == under_rc11  # memo hits, same pool
+            assert len(pools) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "--small", "--arch", "aarch64", "--opt=-O2"],
+        ["farm", "run", "--root", str(CORPUS), "--suites", "lb",
+         "--profiles", "llvm-O2-AArch64"],
+        ["hunt", "--seeds", "examples", "--rounds", "1", "--no-reduce"],
+    ], ids=["campaign", "farm", "hunt"])
+    def test_cli_commands_close_their_pool(self, pools, argv):
+        from repro.pipeline.cli import main
+
+        assert main(argv + ["--processes", "2", "--no-progress"]) == 0
+        assert len(pools) == 1
+        assert _is_shut_down(pools[0])
+
+    def test_dead_worker_breaks_only_its_run(self, pools, monkeypatch):
+        """A worker that dies mid-run: every finished cell streams, the
+        run raises, and the next run in the same session starts a fresh
+        pool and folds to the serial verdicts."""
+        parent = os.getpid()
+        real_run_tv = Toolchain.run_tv
+        plan = CampaignPlan(config=CONFIG, arches=PLAN.arches,
+                            opts=PLAN.opts, compilers=PLAN.compilers,
+                            processes=2)
+        victim = plan.resolve_tests()[-1].digest()
+
+        def dies_in_worker(chain, litmus, profile, **kwargs):
+            if os.getpid() != parent and litmus.digest() == victim:
+                os._exit(1)  # this worker only
+            return real_run_tv(chain, litmus, profile, **kwargs)
+
+        monkeypatch.setattr(Toolchain, "run_tv", dies_in_worker)
+        with Session() as session:
+            streamed = []
+            with pytest.raises(BrokenProcessPool):
+                for event in session.campaign(plan):
+                    if isinstance(event, CellFinished):
+                        streamed.append(event)
+            assert streamed
+            assert all(e.digest != victim for e in streamed)
+            assert all(e.status == "ok" for e in streamed)
+            assert _is_shut_down(pools[0])
+
+            monkeypatch.setattr(Toolchain, "run_tv", real_run_tv)
+            rerun = session.run(plan)
+            assert len(pools) == 2
+            assert rerun.cached_cells == len(streamed)
+        serial = batch_run()
+        assert rerun.cells == serial.cells
+        assert rerun.positives == serial.positives
+        assert rerun.compiled_tests == serial.compiled_tests
 
 
 # --------------------------------------------------------------------------- #

@@ -12,7 +12,8 @@ from repro.lang.parser import parse_c_litmus
 from repro.lang.printer import print_c_litmus
 from repro.pipeline.campaign import CampaignCell, merge_reports
 from repro.pipeline.store import STORE_SCHEMA, CampaignStore, cell_key, record_key
-from repro.pipeline.telechat import (
+from repro.toolchain import Toolchain
+from repro.toolchain.results import (
     comparison_from_record,
     outcomes_from_jsonable,
     outcomes_to_jsonable,
@@ -31,7 +32,8 @@ COMPILERS = ("llvm", "gcc")
 
 def run_plan(store=None, **fields):
     """One plan, run and folded in a fresh session over ``store``."""
-    return Session(store=store).run(CampaignPlan(**fields))
+    with Session(store=store) as session:
+        return session.run(CampaignPlan(**fields))
 
 
 def small_run(**kwargs):
@@ -148,7 +150,7 @@ class TestPoolLifecycle:
             raise RuntimeError("not a simulation failure")
 
         monkeypatch.setattr(engine_module, "ThreadPoolExecutor", tracking_pool)
-        monkeypatch.setattr(engine_module, "run_test_tv", explode)
+        monkeypatch.setattr(Toolchain, "run_tv", explode)
         with pytest.raises(RuntimeError, match="not a simulation failure"):
             run_plan(config=CONFIG, arches=("aarch64",), opts=("-O2",),
                          compilers=("llvm",), workers=2)
@@ -241,7 +243,7 @@ class TestStore:
         campaign resumes from every cell that finished."""
         path = tmp_path / "campaign.jsonl"
         calls = []
-        real = engine_module.run_test_tv
+        real = Toolchain.run_tv
 
         def explode_on_third(*args, **kwargs):
             calls.append(1)
@@ -249,13 +251,13 @@ class TestStore:
                 raise RuntimeError("simulated crash")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(engine_module, "run_test_tv", explode_on_third)
+        monkeypatch.setattr(Toolchain, "run_tv", explode_on_third)
         with pytest.raises(RuntimeError, match="simulated crash"):
             small_run(store=path)
         survivors = CampaignStore(path)
         assert len(survivors) == 2  # the cells that finished before the crash
         # and a resumed run only re-simulates what the crash swallowed
-        monkeypatch.setattr(engine_module, "run_test_tv", real)
+        monkeypatch.setattr(Toolchain, "run_tv", real)
         resumed = small_run(store=path, resume=True)
         assert resumed.store_hits == 2
 
@@ -284,14 +286,14 @@ class TestStore:
         """One crashing cell must not discard the verdicts of cells the
         pool still ran to completion."""
         path = tmp_path / "campaign.jsonl"
-        real = engine_module.run_test_tv
+        real = Toolchain.run_tv
 
-        def explode_for_gcc(litmus, profile, **kwargs):
+        def explode_for_gcc(chain, litmus, profile, **kwargs):
             if profile.compiler == "gcc":
                 raise RuntimeError("simulated crash")
-            return real(litmus, profile, **kwargs)
+            return real(chain, litmus, profile, **kwargs)
 
-        monkeypatch.setattr(engine_module, "run_test_tv", explode_for_gcc)
+        monkeypatch.setattr(Toolchain, "run_tv", explode_for_gcc)
         with pytest.raises(RuntimeError, match="simulated crash"):
             small_run(store=path, workers=2)
         survivors = CampaignStore(path)

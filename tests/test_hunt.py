@@ -241,9 +241,10 @@ def _run_hunt(session=None, **plan_fields):
     plan = CampaignPlan(
         mode="hunt", tests=tuple(example_seeds()), **AXES, **plan_fields
     )
-    session = session if session is not None else Session()
-    stream = session.campaign(plan)
-    events = list(stream)
+    if session is None:
+        with Session() as fresh:
+            return _run_hunt(fresh, **plan_fields)
+    events = list(session.campaign(plan))
     return events, fold_events(events)
 
 

@@ -11,7 +11,7 @@ import pytest
 from repro.compiler import make_profile
 from repro.lang.ast import Fence
 from repro.lang.parser import parse_c_litmus
-from repro.pipeline import run_test_tv
+from repro.toolchain import Toolchain
 from repro.tools import fuzz_variants
 
 #: the Fig. 1 shape with a *seq_cst* fence after the exchange: the full
@@ -38,7 +38,7 @@ class TestMutationCampaign:
     def test_seed_hides_the_bug(self):
         litmus = parse_c_litmus(SEED, "fig1_seed")
         profile = make_profile("llvm", "-O2", "aarch64", version=16)
-        assert run_test_tv(litmus, profile).verdict != "positive"
+        assert Toolchain().run_tv(litmus, profile).verdict != "positive"
 
     def test_mutation_exposes_the_bug(self):
         """Weakening the seq_cst fence to acquire re-creates Fig. 1."""
@@ -46,7 +46,7 @@ class TestMutationCampaign:
         profile = make_profile("llvm", "-O2", "aarch64", version=16)
         verdicts = {}
         for variant in fuzz_variants(litmus, limit=32):
-            result = run_test_tv(variant, profile)
+            result = Toolchain().run_tv(variant, profile)
             verdicts[variant.name] = result.verdict
         assert "positive" in verdicts.values(), (
             f"no mutation exposed the bug: {verdicts}"

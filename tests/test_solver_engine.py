@@ -335,17 +335,12 @@ class TestCampaignCaches:
 
     def test_telechat_source_reuse_flag(self):
         from repro.compiler import make_profile
-        from repro.pipeline import run_test_tv
         from repro.toolchain import Toolchain
 
         litmus = fig7_lb()
         chain = Toolchain()
-        first = run_test_tv(
-            litmus, make_profile("llvm", "-O3", "aarch64"), toolchain=chain
-        )
-        second = run_test_tv(
-            litmus, make_profile("llvm", "-O2", "aarch64"), toolchain=chain
-        )
+        first = chain.run_tv(litmus, make_profile("llvm", "-O3", "aarch64"))
+        second = chain.run_tv(litmus, make_profile("llvm", "-O2", "aarch64"))
         assert second.source_reused and not first.source_reused
         assert second.source_result is first.source_result
         assert chain.cache.misses("simulate-source") == 1

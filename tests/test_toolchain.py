@@ -23,7 +23,6 @@ from repro.core.errors import ReproError, SimulationTimeout
 from repro.herd.enumerate import Budget
 from repro.papertests import fig7_lb
 from repro.pipeline.store import CampaignStore
-from repro.pipeline.telechat import run_differential
 from repro.toolchain import (
     STAGES,
     CompareStage,
@@ -191,8 +190,8 @@ class TestDifferentialToolchain:
         source_model through instead of silently dropping them."""
         a = make_profile("llvm", "-O1", "aarch64")
         b = make_profile("llvm", "-O3", "aarch64")
-        opt = run_differential(fig7_lb(), a, b)
-        raw = run_differential(fig7_lb(), a, b, optimise=False)
+        opt = Toolchain().run_differential(fig7_lb(), a, b)
+        raw = Toolchain().run_differential(fig7_lb(), a, b, optimise=False)
         opt_a, opt_b = opt.result_a, opt.result_b
         raw_a, raw_b = raw.result_a, raw.result_b
         # the outcome sets agree (s2l soundness) even though the raw
@@ -304,9 +303,8 @@ class TestDifferentialCampaigns:
         )
         dumps = []
         for extra in ({}, {"workers": 3}, {"processes": 2}):
-            report = Session().campaign(
-                CampaignPlan(**base, **extra)
-            ).report()
+            with Session() as session:
+                report = session.run(CampaignPlan(**base, **extra))
             payload = report.to_jsonable(include_timing=False)
             payload.pop("workers")
             payload.pop("processes")
@@ -473,7 +471,7 @@ class TestSessionToolchain:
 
     def test_record_round_trip_differential(self):
         """Differential records rebuild through comparison_from_record."""
-        from repro.pipeline.telechat import comparison_from_record
+        from repro.toolchain.results import comparison_from_record
 
         session = Session()
         result = session.differential(fig7_lb(), PROFILE_A, PROFILE_B)
