@@ -52,6 +52,9 @@ Every mode and backend evaluates the same thing: a frozen, picklable
 cell memo, run by the one evaluator :func:`run_cell` on a miss and
 shaped by the one record shaper
 :func:`~repro.pipeline.campaign.shape_record`, all in this process.
+The memo holds each cell's record half
+(:func:`~repro.pipeline.campaign.result_half`); the identity half
+always comes from the cell being answered.
 The backends differ only in who produces a memo miss: the session's
 toolchain (serial and threads), or a worker of the session's one
 process pool, which runs the cell on its own bounded toolchain and
@@ -89,6 +92,7 @@ from ..pipeline.campaign import (
     CellSpec,
     _campaign_cells,
     merge_reports,
+    result_half,
     shape_record,
 )
 from ..toolchain import ArtifactCache, Toolchain, TraceEntry, profile_signature
@@ -325,22 +329,23 @@ class _CellContext:
                 self.source_model, self.source_sig, self.arch_sig(spec.arch),
                 self.augment, self.budget_candidates, self.stages_token,
             )
-            return self.result_cache.get(key, lambda: run(profiles))
+            return self.result_cache.get(
+                key, lambda: result_half(spec, run(profiles))
+            )
 
         record = shape_record(spec, produce)
         return record, ran_in_worker or _ran_source(trace)
 
 
-def _lint_tests(tests, plan: CampaignPlan, what: str = "test") -> None:
-    """Fail fast on ill-formed litmus tests (``plan.lint``).
+def _lint_tests(tests, what: str = "test") -> None:
+    """Fail fast on ill-formed litmus tests (a plan's ``lint``, and every
+    suite the farm parses).
 
     Runs :mod:`repro.analysis.litmuslint` over every materialised test;
     error-severity findings (vacuous conditions, malformed threads)
     raise a :class:`PlanError` carrying the diagnostics — before any
     cell is scheduled, so a bad corpus costs nothing but the lint.
     """
-    if not plan.lint:
-        return
     from ..analysis import Severity, lint_litmus
 
     errors = []
@@ -439,7 +444,8 @@ def iter_campaign(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
         return iter_hunt(plan, session)
     _check_session_constraints(plan, session)
     tests = plan.resolve_tests(shapes=session.shapes)
-    _lint_tests(tests, plan)
+    if plan.lint:
+        _lint_tests(tests)
     store = session.store
     result_cache = session.result_cache
     ctx = _CellContext(plan, session)
@@ -552,7 +558,8 @@ def iter_hunt(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
     seeds = plan.resolve_tests(shapes=session.shapes)
     if not seeds:
         raise PlanError("a hunt needs at least one seed test")
-    _lint_tests(seeds, plan, what="seed")
+    if plan.lint:
+        _lint_tests(seeds, what="seed")
     operators = (
         plan.mutations if plan.mutations is not None else DEFAULT_OPERATORS
     )
@@ -688,7 +695,10 @@ def iter_hunt(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
                     continue
                 reduced = replace(spec, litmus=reduction.reduced)
                 record = shape_record(
-                    reduced, lambda: run_cell(reduced, ctx.toolchain, profiles)
+                    reduced,
+                    lambda: result_half(
+                        reduced, run_cell(reduced, ctx.toolchain, profiles)
+                    ),
                 )
                 record["mode"] = "hunt"
                 record.update(reduction.lineage())

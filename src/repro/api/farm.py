@@ -13,6 +13,10 @@ verdict records against the blessed baseline with
 ``CellFinished`` events pass through from the inner campaigns (their
 ``CampaignStarted``/``CampaignFinished`` bookends are folded away — the
 farm's own bookends carry the corpus-level aggregates).
+
+A session parses and lints each suite once (:func:`_suite_tests`): every
+profile, source model and later pass of that session runs the same
+parsed tests, for as long as the suite file keeps its verified digest.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import os
 import time
 from typing import Dict, Iterator, List, Tuple
 
+from ..lang.ast import CLitmus
 from ..pipeline.farm import (
     BaselineSpec,
     FarmError,
@@ -31,7 +36,7 @@ from ..pipeline.farm import (
 )
 from ..tools.mcompare import DELTA_KINDS, diff_baselines
 from ..tools.sources import SuiteSource
-from .engine import iter_campaign
+from .engine import _lint_tests, iter_campaign
 from .events import (
     CampaignEvent,
     CellFinished,
@@ -80,6 +85,28 @@ def _select(
     return verified, selected
 
 
+def _suite_tests(session, path: str, digest: str) -> Tuple[CLitmus, ...]:
+    """The parsed and linted tests of the suite file at ``path``, whose
+    content :meth:`FarmManifest.verify_suite` has just checked against
+    ``digest``.
+
+    The session keeps one entry per suite path, keyed by that digest: a
+    regenerated suite (a new manifest digest) is parsed again and
+    replaces the old entry.  Only tests that pass lint are kept, so a
+    bad suite raises :class:`~repro.api.plan.PlanError` on every pass.
+    The tests are shared by every profile, model and pass of the
+    session, so they are read-only.
+    """
+    key = os.path.abspath(path)
+    cached = session._suites.get(key)
+    if cached is not None and cached[0] == digest:
+        return cached[1]
+    tests = tuple(SuiteSource(path).iter_tests(shapes=session.shapes))
+    _lint_tests(tests)
+    session._suites[key] = (digest, tests)
+    return tests
+
+
 def iter_farm(plan: FarmPlan, session) -> Iterator[CampaignEvent]:
     """Run one farm pass through ``session``, yielding typed events."""
     manifest = FarmManifest.load(plan.root)
@@ -106,8 +133,10 @@ def iter_farm(plan: FarmPlan, session) -> Iterator[CampaignEvent]:
             plan.source_model if plan.source_model is not None else spec.model
         )
         suite = verified[spec.suite]
+        tests = _suite_tests(session, manifest.path(suite.file), suite.digest)
         campaign = CampaignPlan(
-            tests=SuiteSource(manifest.path(suite.file)),
+            tests=tests,
+            lint=False,  # _suite_tests linted them when it parsed them
             arches=(profile.arch,),
             opts=(profile.opt,),
             compilers=(profile.compiler,),

@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Set, Tuple, Union
 
 from ..asm.isa.base import ISAS, Isa, ensure_registered
 from ..baselines.registry import BASELINES
@@ -95,12 +95,17 @@ class Session:
             models=self.models,
             cache=ArtifactCache(max_entries=artifact_cache_entries),
         )
-        #: the cell memo every campaign in this session shares: whole
-        #: verdicts keyed by (test digest, profile signatures, source
-        #: model and its signature, arch-model signature, augment,
-        #: budget, stage token) — content and what names resolve to,
-        #: never names alone.  Timeouts and errors replay like verdicts.
+        #: the cell memo every campaign in this session shares: each
+        #: cell's record half (``result_half``: the record without the
+        #: identity fields the cell supplies) keyed by (test digest,
+        #: profile signatures, source model and its signature,
+        #: arch-model signature, augment, budget, stage token) — content
+        #: and what names resolve to, never names alone.  Timeouts and
+        #: errors replay like verdicts.  Values are shared: read-only.
         self.result_cache = KeyedCache()
+        #: the farm's parsed suites: suite path -> (verified digest,
+        #: linted tests), one entry per path (see ``repro.api.farm``)
+        self._suites: Dict[str, Tuple[str, Tuple[CLitmus, ...]]] = {}
         if store is not None and not isinstance(store, CampaignStore):
             store = CampaignStore(store)
         self.store: Optional[CampaignStore] = store

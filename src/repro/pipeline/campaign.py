@@ -10,11 +10,12 @@ the batch-side vocabulary every backend and mode shares:
   picklable value: the work-list item, the store key and the identity
   half of its verdict record;
 * :func:`shape_record` — the single status contract the serial, thread
-  and process backends and the persistent store all speak.
+  and process backends and the persistent store all speak, over the
+  memoised :func:`result_half` of each cell's verdict.
 
 No cache lives here.  A test's source simulation is cached once, by the
 toolchain's ``simulate-source`` stage (:mod:`repro.toolchain`), and a
-session memoises whole cells in ``Session.result_cache``.
+session memoises each cell's record half in ``Session.result_cache``.
 
 The reproduction target is the *shape* of Table IV, whatever the suite
 size: positives only on Armv8, Armv7, RISC-V and PowerPC (the Fig. 7
@@ -385,29 +386,41 @@ class CellSpec:
         return record
 
 
+def result_half(spec: CellSpec, result) -> Dict[str, object]:
+    """The result half of ``spec``'s verdict record: ``result.to_record()``
+    without the identity fields :meth:`CellSpec.base_record` owns.
+
+    This is the value ``Session.result_cache`` memoises.  The memo keys
+    by content, so one entry answers every cell with the same test
+    content, resolved profiles and models, whatever the test is named.
+    Names, profile labels and the source model therefore always come
+    from the cell itself (a differential cell's profile specs may also
+    carry a version suffix the result's profile names drop).
+    """
+    base = spec.base_record()
+    return {
+        name: value for name, value in result.to_record().items()
+        if name not in base
+    }
+
+
 def shape_record(
-    spec: CellSpec, produce_result: Callable
+    spec: CellSpec, produce_half: Callable[[], Dict[str, object]]
 ) -> Dict[str, object]:
     """Run one cell producer and shape its outcome as the cell's record.
 
-    The single status contract shared by every execution backend *and*
-    every campaign mode — serial, thread pool and process pool must emit
-    byte-identical record shapes or the store would replay whichever
-    backend wrote last, and a new status class added here reaches tv and
-    differential records together.
+    ``produce_half`` returns the cell's :func:`result_half` (usually from
+    the session's memo) or raises.  This is the single status contract
+    shared by every execution backend *and* every campaign mode — serial,
+    thread pool and process pool must emit byte-identical record shapes
+    or the store would replay whichever backend wrote last, and a new
+    status class added here reaches tv and differential records together.
     """
     base = spec.base_record()
     try:
-        result = produce_result()
+        half = produce_half()
     except SimulationTimeout:
         return dict(base, status="timeout")
     except ReproError:
         return dict(base, status="error")
-    record = dict(base, status="ok")
-    record.update(result.to_record())
-    if spec.pair:
-        # identity fields win over the result's name-based rendering: plan
-        # profile *specs* may carry a version suffix profile names drop
-        for name in ("profile", "profile_a", "profile_b", "source_model"):
-            record[name] = base[name]
-    return record
+    return dict(base, status="ok", **half)

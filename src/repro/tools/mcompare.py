@@ -279,6 +279,10 @@ def diff_baselines(
     so a farm re-run under an overridden model (``--cmem``) still lines
     up against the blessed cells and reports verdict flips instead of a
     wall of missing/unexpected.  :data:`VOLATILE_FIELDS` are ignored.
+
+    Two rows whose canonical bytes (the bytes ``write_baseline``
+    blesses) are equal have not drifted; only the rest are classified,
+    field by field.
     """
 
     def index(
@@ -312,6 +316,10 @@ def diff_baselines(
                 "unexpected", digest, profile, describe(key, record),
                 f"cell not in baseline (verdict {record.get('verdict')!r})",
             ))
+            continue
+        # equal blessed bytes are equal rows (1, 1.0 and true dump apart)
+        if (json.dumps(blessed[key], sort_keys=True)
+                == json.dumps(current[key], sort_keys=True)):
             continue
         drift = _classify(blessed[key], current[key])
         if drift is not None:

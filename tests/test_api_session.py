@@ -1,6 +1,7 @@
 """The repro.api surface: sessions, plans, the event stream, and the
 stream↔batch parity guarantee."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -20,6 +21,7 @@ from repro.api import (
 )
 from repro.api import session as session_module
 from repro.cat.registry import MODELS, get_source
+from repro.papertests import fig1_exchange
 from repro.toolchain import Toolchain
 from repro.tools.diy import DiyConfig, build_test, get_shape, small_config
 
@@ -267,6 +269,39 @@ class TestParity:
         assert warm.source_simulations == 0
         assert warm.positives == cold.positives
         assert warm.cells == cold.cells
+
+    @pytest.mark.parametrize("mode", ["tv", "differential"])
+    @pytest.mark.parametrize(
+        "backend", [{}, {"workers": 2}, {"processes": 2}],
+        ids=["serial", "threads", "processes"],
+    )
+    def test_memo_hit_keeps_the_cells_own_identity(self, backend, mode):
+        """Two tests with the same content but different names share one
+        memo entry; each record still names its own test (and, in
+        differential mode, its own profile specs)."""
+        original = fig1_exchange()
+        renamed = dataclasses.replace(original, name="renamed")
+        assert renamed.digest() == original.digest()
+        if mode == "tv":
+            axes = dict(arches=("aarch64",), opts=("-O2",),
+                        compilers=("llvm",))
+        else:
+            axes = dict(mode="differential",
+                        profiles=("llvm-O1-AArch64", "llvm-O2-AArch64"))
+        plan = CampaignPlan(tests=(original, renamed), **axes, **backend)
+        with Session() as session:
+            events = list(session.campaign(plan))
+        cells = [e for e in events if isinstance(e, CellFinished)]
+        assert sorted(e.test for e in cells) == ["fig1_exchange", "renamed"]
+        for event in cells:
+            assert event.status == "ok"
+            assert event.record["test"] == event.test
+            assert event.record["compiler"] == event.compiler
+        assert events[-1].cached_cells == 1
+        if mode == "differential":
+            assert {e.record["profile"] for e in cells} == {
+                "llvm-O1-AArch64|llvm-O2-AArch64"
+            }
 
     def test_sharded_stream_merges_to_single_run(self):
         session = Session()

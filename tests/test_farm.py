@@ -1,6 +1,7 @@
 """repro.farm: corpus manifests, blessed baselines, drift diffing, the
 farm event stream, and the ``telechat farm`` CLI."""
 
+import dataclasses
 import json
 import os
 import random
@@ -17,6 +18,8 @@ from repro.api import (
     Session,
     SuiteFinished,
 )
+from repro.lang.parser import parse_c_litmus
+from repro.lang.printer import print_c_litmus
 from repro.pipeline.cli import main
 from repro.pipeline.farm import (
     FarmError,
@@ -28,7 +31,10 @@ from repro.pipeline.farm import (
     write_baseline,
 )
 from repro.tools.diy import DiyConfig
-from repro.tools.mcompare import diff_baselines
+from repro.tools.mcompare import DELTA_KINDS, diff_baselines
+
+#: the checked-in corpus: 3 suites, 222 tests, 2 profiles (444 cells).
+CORPUS = Path(__file__).parent / "corpus"
 
 #: a deliberately tiny family — two LB tests (po + the ctrl2 deleted
 #: dependency the gcc-O1-ARM profile turns positive) — so end-to-end
@@ -178,10 +184,54 @@ class TestDiffBaselines:
         blessed = _record(target_outcomes=[{"r0": 0}, {"r0": 1}])
         current = _record(target_outcomes=[{"r0": 1}, {"r0": 0}])
         assert not diff_baselines([blessed], [current]).has_drift
+        # every outcome field at once: the rows' bytes differ, the sets not
+        outcomes = [{"r0": 0}, {"r0": 1}, {"r0": 2}]
+        fields = ("source_outcomes", "target_outcomes", "outcomes_a",
+                  "outcomes_b", "positive", "negative")
+        blessed = _record(**{name: outcomes for name in fields})
+        current = _record(**{name: outcomes[::-1] for name in fields})
+        assert not diff_baselines([blessed], [current]).has_drift
 
     def test_status_change(self):
         diff = diff_baselines([_record()], [_record(status="timeout")])
         assert diff.count("status-change") == 1
+
+    def test_every_delta_kind_fires(self):
+        blessed = [
+            _record(digest="np", verdict="equal"),
+            _record(digest="lp", verdict="positive"),
+            _record(digest="vc", verdict="equal"),
+            _record(digest="oc"),
+            _record(digest="sc"),
+            _record(digest="fc", compiled_loc=4),
+            _record(digest="gone"),
+        ]
+        current = [
+            _record(digest="np", verdict="positive"),
+            _record(digest="lp", verdict="equal"),
+            _record(digest="vc", verdict="negative"),
+            _record(digest="oc", target_outcomes=[{"r0": 1}]),
+            _record(digest="sc", status="error"),
+            _record(digest="fc", compiled_loc=5),
+            _record(digest="new"),
+        ]
+        diff = diff_baselines(blessed, current)
+        assert sorted(d.kind for d in diff.deltas) == sorted(DELTA_KINDS)
+        for kind in DELTA_KINDS:
+            assert diff.count(kind) == 1
+
+    @pytest.mark.parametrize("changed", [True, 1.0], ids=["bool", "float"])
+    def test_equal_in_python_is_not_equal_in_the_baseline(self, changed):
+        """``1 == True == 1.0`` in Python, but each blesses different
+        bytes: a change between them is drift, in plain fields and
+        inside outcome sets alike."""
+        diff = diff_baselines([_record(compiled_loc=1)],
+                              [_record(compiled_loc=changed)])
+        assert [d.kind for d in diff.deltas] == ["field-change"]
+        assert "compiled_loc" in diff.deltas[0].detail
+        diff = diff_baselines([_record(target_outcomes=[{"r0": 1}])],
+                              [_record(target_outcomes=[{"r0": changed}])])
+        assert [d.kind for d in diff.deltas] == ["outcome-change"]
 
     def test_deltas_are_deterministically_ordered(self):
         blessed = [_record(digest=f"d{i}") for i in range(4)]
@@ -246,6 +296,125 @@ class TestFarmStream:
         for event in Session().farm(FarmPlan(root=corpus, bless=True)):
             pass
         assert Path(baseline).read_bytes() == first
+
+
+# --------------------------------------------------------------------------- #
+# the session's suite cache
+# --------------------------------------------------------------------------- #
+#: a test whose condition reads a register no thread writes (LIT001).
+BAD_SOURCE = """C bad
+{ x = 0; }
+void P0(atomic_int* x) { atomic_store_explicit(x, 1, memory_order_relaxed); }
+void P1(atomic_int* x) { int r0 = atomic_load_explicit(x, memory_order_relaxed); }
+exists (P1:r9=1)
+"""
+
+
+class Calls:
+    """``parse_c_litmus`` and ``lint_litmus`` calls, with every parsed
+    test and the digest it had when it was parsed."""
+
+    def __init__(self):
+        self.parsed = []
+        self.lints = 0
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    import repro.analysis
+    import repro.lang.parser
+
+    seen = Calls()
+    parse = repro.lang.parser.parse_c_litmus
+    lint = repro.analysis.lint_litmus
+
+    def counting_parse(*args, **kwargs):
+        test = parse(*args, **kwargs)
+        seen.parsed.append((test, test.digest()))
+        return test
+
+    def counting_lint(*args, **kwargs):
+        seen.lints += 1
+        return lint(*args, **kwargs)
+
+    monkeypatch.setattr(repro.lang.parser, "parse_c_litmus", counting_parse)
+    monkeypatch.setattr(repro.analysis, "lint_litmus", counting_lint)
+    return seen
+
+
+def _regenerate_suite(root, lines):
+    """Rewrite the mini suite with ``lines`` and record its new digest in
+    the manifest, as regenerating the corpus would."""
+    manifest = FarmManifest.load(root)
+    spec = manifest.suites["mini"]
+    path = manifest.path(spec.file)
+    Path(path).write_text("".join(line + "\n" for line in lines))
+    manifest.suites["mini"] = dataclasses.replace(
+        spec, tests=len(lines), digest=file_digest(path)
+    )
+    manifest.save()
+
+
+class TestSuiteCache:
+    def test_each_suite_is_parsed_and_linted_once_per_session(self, calls):
+        with Session() as session:
+            cold = list(session.farm(str(CORPUS)))
+            assert len(calls.parsed) == calls.lints == 222
+            warm = list(session.farm(str(CORPUS)))
+            for model in ("sc", "rc11+lb"):
+                plan = FarmPlan(root=str(CORPUS), source_model=model)
+                for event in session.farm(plan):
+                    pass
+        assert len(calls.parsed) == calls.lints == 222
+        for events in (cold, warm):
+            assert events[-1].cells == 444
+            assert events[-1].drift == 0
+        # the shared tests are read-only: a fresh copy digests the same
+        for test, digest in calls.parsed:
+            assert dataclasses.replace(test).digest() == digest
+
+    def test_drifted_suite_still_raises(self, corpus):
+        with Session() as session:
+            assert list(session.farm(corpus))[-1].drift == 0
+            suite = os.path.join(corpus, "suites", "mini.jsonl")
+            with open(suite, "a") as handle:
+                handle.write("\n")
+            with pytest.raises(FarmError, match="drifted on disk"):
+                list(session.farm(corpus))
+
+    def test_regenerated_suite_is_parsed_again(self, corpus, calls):
+        suite = os.path.join(corpus, "suites", "mini.jsonl")
+        lines = Path(suite).read_text().splitlines()
+        with Session() as session:
+            list(session.farm(corpus))
+            assert len(calls.parsed) == 2
+            # the same tests in a new order: a new digest, the same cells
+            _regenerate_suite(corpus, lines[::-1])
+            events = list(session.farm(corpus))
+            assert len(calls.parsed) == 4
+            assert events[-1].drift == 0
+            # one test, blessed under the new digest
+            _regenerate_suite(corpus, lines[:1])
+            plan = FarmPlan(root=corpus, bless=True)
+            events = list(session.farm(plan))
+            assert len(calls.parsed) == 5
+            assert events[-1].cells == 1
+            # the suite's path holds one entry, whatever its history
+            assert len(session._suites) == 1
+
+    def test_suite_that_fails_lint_raises_on_every_pass(self, corpus, calls):
+        bad = parse_c_litmus(BAD_SOURCE, "bad")
+        suite = os.path.join(corpus, "suites", "mini.jsonl")
+        lines = Path(suite).read_text().splitlines()
+        _regenerate_suite(corpus, lines + [json.dumps(
+            {"name": "bad", "source": print_c_litmus(bad)}, sort_keys=True,
+        )])
+        with Session() as session:
+            for _ in range(2):
+                with pytest.raises(PlanError, match="failed static analysis"):
+                    list(session.farm(corpus))
+        # three tests parsed and linted on each pass
+        assert len(calls.parsed) == calls.lints == 2 * 3
 
 
 class TestFarmPlanValidation:
