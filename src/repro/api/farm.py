@@ -17,6 +17,8 @@ farm's own bookends carry the corpus-level aggregates).
 A session parses and lints each suite once (:func:`_suite_tests`): every
 profile, source model and later pass of that session runs the same
 parsed tests, for as long as the suite file keeps its verified digest.
+It likewise reads each blessed baseline once (:func:`_baseline_index`),
+for as long as the file keeps its sha256.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ from ..pipeline.farm import (
     FarmError,
     FarmManifest,
     SuiteSpec,
+    file_digest,
     read_baseline,
     write_baseline,
 )
-from ..tools.mcompare import DELTA_KINDS, diff_baselines
+from ..tools.mcompare import DELTA_KINDS, BaselineIndex, diff_baselines
 from ..tools.sources import SuiteSource
 from .engine import _lint_tests, iter_campaign
 from .events import (
@@ -85,17 +88,21 @@ def _select(
     return verified, selected
 
 
-def _suite_tests(session, path: str, digest: str) -> Tuple[CLitmus, ...]:
-    """The parsed and linted tests of the suite file at ``path``, whose
-    content :meth:`FarmManifest.verify_suite` has just checked against
+def _suite_tests(
+    session, name: str, path: str, digest: str
+) -> Tuple[CLitmus, ...]:
+    """The parsed and linted tests of suite ``name``, whose file at
+    ``path`` :meth:`FarmManifest.verify_suite` has just checked against
     ``digest``.
 
     The session keeps one entry per suite path, keyed by that digest: a
     regenerated suite (a new manifest digest) is parsed again and
-    replaces the old entry.  Only tests that pass lint are kept, so a
-    bad suite raises :class:`~repro.api.plan.PlanError` on every pass.
-    The tests are shared by every profile, model and pass of the
-    session, so they are read-only.
+    replaces the old entry.  Only tests that pass lint, and no two of
+    which share a content digest, are kept, so a bad suite raises on
+    every pass.  (Baseline rows are keyed by digest: two tests with one
+    digest would collapse into one row, and one verdict would go
+    unchecked.)  The tests are shared by every profile, model and pass
+    of the session, so they are read-only.
     """
     key = os.path.abspath(path)
     cached = session._suites.get(key)
@@ -103,8 +110,34 @@ def _suite_tests(session, path: str, digest: str) -> Tuple[CLitmus, ...]:
         return cached[1]
     tests = tuple(SuiteSource(path).iter_tests(shapes=session.shapes))
     _lint_tests(tests)
+    first: Dict[str, CLitmus] = {}
+    for test in tests:
+        twin = first.setdefault(test.digest(), test)
+        if twin is not test:
+            raise FarmError(
+                f"suite {name!r} has two tests with content digest "
+                f"{test.digest()}: {twin.name!r} and {test.name!r}; their "
+                f"baseline rows would collapse into one"
+            )
     session._suites[key] = (digest, tests)
     return tests
+
+
+def _baseline_index(session, path: str) -> BaselineIndex:
+    """The index of the blessed baseline at ``path``.
+
+    The session keeps one entry per baseline path, keyed by the file's
+    sha256, which is re-hashed on every pass: an edited, re-blessed or
+    torn file is read again and replaces the old entry.
+    """
+    key = os.path.abspath(path)
+    digest = file_digest(path)
+    cached = session._baselines.get(key)
+    if cached is not None and cached[0] == digest:
+        return cached[1]
+    index = BaselineIndex(read_baseline(path))
+    session._baselines[key] = (digest, index)
+    return index
 
 
 def iter_farm(plan: FarmPlan, session) -> Iterator[CampaignEvent]:
@@ -133,7 +166,9 @@ def iter_farm(plan: FarmPlan, session) -> Iterator[CampaignEvent]:
             plan.source_model if plan.source_model is not None else spec.model
         )
         suite = verified[spec.suite]
-        tests = _suite_tests(session, manifest.path(suite.file), suite.digest)
+        tests = _suite_tests(
+            session, spec.suite, manifest.path(suite.file), suite.digest
+        )
         campaign = CampaignPlan(
             tests=tests,
             lint=False,  # _suite_tests linted them when it parsed them
@@ -155,6 +190,8 @@ def iter_farm(plan: FarmPlan, session) -> Iterator[CampaignEvent]:
         label = f"{spec.suite} @ {spec.profile} [{model}]"
         if plan.bless:
             write_baseline(records, baseline_path)
+            # the file is rewritten: the next run indexes it afresh
+            session._baselines.pop(os.path.abspath(baseline_path), None)
             blessed_files += 1
             drift_counts: Dict[str, int] = {}
             drift = 0
@@ -166,7 +203,7 @@ def iter_farm(plan: FarmPlan, session) -> Iterator[CampaignEvent]:
                     f"'telechat farm bless' first"
                 )
             diff = diff_baselines(
-                read_baseline(baseline_path), records, label=label
+                _baseline_index(session, baseline_path), records, label=label
             )
             drift_counts = {
                 kind: diff.count(kind)

@@ -46,6 +46,7 @@ from ..hunt.reduce import ReductionResult, reduce_test
 from ..toolchain import STAGES, ArtifactCache, Stage, Toolchain, ToolchainTrace
 from ..toolchain.results import DifferentialResult, TelechatResult
 from ..tools.diy import SHAPES, Shape
+from ..tools.mcompare import BaselineIndex
 from ..tools.mutate import MUTATIONS
 from ..tools.sources import TestSource
 from .engine import CampaignStream, iter_campaign, iter_hunt, iter_sharded
@@ -106,6 +107,9 @@ class Session:
         #: the farm's parsed suites: suite path -> (verified digest,
         #: linted tests), one entry per path (see ``repro.api.farm``)
         self._suites: Dict[str, Tuple[str, Tuple[CLitmus, ...]]] = {}
+        #: the farm's blessed baselines: baseline path -> (file sha256,
+        #: canonical row bytes and drift memo), one entry per path
+        self._baselines: Dict[str, Tuple[str, BaselineIndex]] = {}
         if store is not None and not isinstance(store, CampaignStore):
             store = CampaignStore(store)
         self.store: Optional[CampaignStore] = store

@@ -12,8 +12,8 @@ the persistent half of the farm:
 * **baselines** — one compact JSONL of verdict summaries per
   (suite, profile, model), in the exact
   :class:`~repro.pipeline.store.CampaignStore` record format minus the
-  run-volatile fields, sorted by ``(digest, profile)`` and dumped with
-  sorted keys — so *blessing* the same corpus on any execution backend
+  run-volatile fields, sorted by ``(digest, profile, test)`` and dumped
+  with sorted keys — so *blessing* the same corpus on any execution backend
   produces byte-identical files;
 * **MANIFEST.json** — the farm's root index tying the two together.
 
@@ -260,8 +260,8 @@ def write_baseline(
     """Bless verdict records to a baseline file, deterministically.
 
     Records are normalised (:func:`baseline_record`), sorted by
-    ``(digest, profile)`` and dumped with sorted keys — completion order
-    and backend never leak into the bytes, which is what makes
+    ``(digest, profile, test)`` and dumped with sorted keys — completion
+    order and backend never leak into the bytes, which is what makes
     cross-backend byte-identical blessing testable.  Returns the record
     count.
     """
@@ -271,7 +271,11 @@ def write_baseline(
         os.makedirs(parent, exist_ok=True)
     blessed = sorted(
         (baseline_record(record) for record in records),
-        key=lambda r: (str(r.get("digest", "")), str(r.get("profile", ""))),
+        key=lambda r: (
+            str(r.get("digest", "")),
+            str(r.get("profile", "")),
+            str(r.get("test", "")),
+        ),
     )
     with open(fspath, "w", encoding="utf-8") as handle:
         for record in blessed:

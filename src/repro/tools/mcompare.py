@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from ..core.execution import Outcome
 from ..herd.simulator import SimulationResult
@@ -166,13 +166,27 @@ def baseline_view(record: Dict[str, object]) -> Dict[str, object]:
     return {k: v for k, v in record.items() if k not in VOLATILE_FIELDS}
 
 
+#: ``json.dumps(value, sort_keys=True)`` — the bytes ``write_baseline``
+#: blesses — without building a new encoder on every call.
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
 def _canon(value: object) -> str:
     """An order-insensitive canonical form for outcome-set fields."""
     if isinstance(value, list):
-        return json.dumps(
-            sorted(json.dumps(item, sort_keys=True) for item in value)
-        )
-    return json.dumps(value, sort_keys=True)
+        return _ENCODE(sorted(_ENCODE(item) for item in value))
+    return _ENCODE(value)
+
+
+def _differs(old: object, new: object) -> bool:
+    """Whether a field drifted, lists compared as sets.  Equal plain
+    encodings are equal canonical forms, so they skip the sort."""
+    return _ENCODE(old) != _ENCODE(new) and _canon(old) != _canon(new)
+
+
+def _row_key(record: Dict[str, object]) -> Tuple[str, str]:
+    """A baseline row's key: content digest plus compiler profile."""
+    return str(record.get("digest", "")), str(record.get("profile", ""))
 
 
 @dataclass(frozen=True)
@@ -252,7 +266,7 @@ def _classify(
     changed_outcomes = [
         field
         for field in _OUTCOME_FIELDS
-        if _canon(baseline.get(field)) != _canon(current.get(field))
+        if _differs(baseline.get(field), current.get(field))
     ]
     if changed_outcomes:
         return "outcome-change", f"outcome sets differ: {changed_outcomes}"
@@ -260,15 +274,54 @@ def _classify(
         field
         for field in set(baseline) | set(current)
         if field not in _OUTCOME_FIELDS
-        and _canon(baseline.get(field)) != _canon(current.get(field))
+        and _differs(baseline.get(field), current.get(field))
     )
     if changed_fields:
         return "field-change", f"fields differ: {changed_fields}"
     return None
 
 
+class BaselineIndex:
+    """A blessed baseline held as canonical row bytes.
+
+    ``rows`` maps each ``(digest, profile)`` key to
+    ``_ENCODE(baseline_view(row))``, the bytes ``write_baseline`` blesses;
+    no decoded row is kept.  :meth:`drift` memoises the classification
+    of a current row that differs from its blessed one, under the key and
+    the current row's bytes: drift is a function of the two byte strings
+    alone, so a repeated re-check (the same tests under the same other
+    model) reuses it exactly.  Apart from that memo the index is
+    read-only; a changed baseline file needs a new index.
+    """
+
+    def __init__(self, records: Iterable[Dict[str, object]]) -> None:
+        self.rows: Dict[Tuple[str, str], str] = {
+            _row_key(record): _ENCODE(baseline_view(record))
+            for record in records
+        }
+        self._drift: Dict[
+            Tuple[Tuple[str, str], str], Optional[Tuple[str, str]]
+        ] = {}
+
+    def drift(
+        self, key: Tuple[str, str], current: str
+    ) -> Optional[Tuple[str, str]]:
+        """The (kind, detail) of the row bytes ``current`` against the
+        blessed row at ``key``, or ``None``.  Equal bytes are equal rows
+        (``1``, ``1.0`` and ``true`` encode apart); unequal ones are
+        decoded on both sides and classified, once per distinct pair."""
+        if current == self.rows[key]:
+            return None
+        memo = (key, current)
+        if memo not in self._drift:
+            self._drift[memo] = _classify(
+                json.loads(self.rows[key]), json.loads(current)
+            )
+        return self._drift[memo]
+
+
 def diff_baselines(
-    baseline_records: Iterable[Dict[str, object]],
+    baseline_records: Union[BaselineIndex, Iterable[Dict[str, object]]],
     current_records: Iterable[Dict[str, object]],
     label: str = "baseline",
 ) -> BaselineDiff:
@@ -280,56 +333,44 @@ def diff_baselines(
     up against the blessed cells and reports verdict flips instead of a
     wall of missing/unexpected.  :data:`VOLATILE_FIELDS` are ignored.
 
-    Two rows whose canonical bytes (the bytes ``write_baseline``
-    blesses) are equal have not drifted; only the rest are classified,
-    field by field.
+    ``baseline_records`` is a :class:`BaselineIndex` (a farm session
+    keeps one per blessed file) or plain records, indexed here for this
+    call.  Each current row is encoded once and compared with its
+    blessed bytes (:meth:`BaselineIndex.drift`): equal bytes have not
+    drifted, and only the rest are classified, field by field, once per
+    distinct pair of rows.
     """
-
-    def index(
-        records: Iterable[Dict[str, object]],
-    ) -> Dict[Tuple[str, str], Dict[str, object]]:
-        return {
-            (str(r.get("digest", "")), str(r.get("profile", ""))):
-                baseline_view(r)
-            for r in records
-        }
-
-    blessed = index(baseline_records)
-    current = index(current_records)
+    blessed = (
+        baseline_records
+        if isinstance(baseline_records, BaselineIndex)
+        else BaselineIndex(baseline_records)
+    )
+    current = {_row_key(record): record for record in current_records}
     deltas: List[BaselineDelta] = []
-
-    def describe(key: Tuple[str, str], record: Dict[str, object]) -> str:
-        return str(record.get("test", key[0][:12]))
-
-    for key in sorted(set(blessed) | set(current)):
+    for key in sorted(blessed.rows.keys() | current.keys()):
         digest, profile = key
-        if key not in current:
-            record = blessed[key]
+        record = current.get(key)
+        if record is None:
+            row = json.loads(blessed.rows[key])
             deltas.append(BaselineDelta(
-                "missing", digest, profile, describe(key, record),
+                "missing", digest, profile, str(row.get("test", digest[:12])),
                 "blessed cell absent from this run",
             ))
             continue
-        if key not in blessed:
-            record = current[key]
+        test = str(record.get("test", digest[:12]))
+        if key not in blessed.rows:
             deltas.append(BaselineDelta(
-                "unexpected", digest, profile, describe(key, record),
+                "unexpected", digest, profile, test,
                 f"cell not in baseline (verdict {record.get('verdict')!r})",
             ))
             continue
-        # equal blessed bytes are equal rows (1, 1.0 and true dump apart)
-        if (json.dumps(blessed[key], sort_keys=True)
-                == json.dumps(current[key], sort_keys=True)):
-            continue
-        drift = _classify(blessed[key], current[key])
+        drift = blessed.drift(key, _ENCODE(baseline_view(record)))
         if drift is not None:
             kind, detail = drift
-            deltas.append(BaselineDelta(
-                kind, digest, profile, describe(key, current[key]), detail,
-            ))
+            deltas.append(BaselineDelta(kind, digest, profile, test, detail))
     return BaselineDiff(
         label=label,
-        baseline_count=len(blessed),
+        baseline_count=len(blessed.rows),
         current_count=len(current),
         deltas=tuple(deltas),
     )

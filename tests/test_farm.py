@@ -5,6 +5,10 @@ import dataclasses
 import json
 import os
 import random
+import subprocess
+import sys
+import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,10 +35,13 @@ from repro.pipeline.farm import (
     write_baseline,
 )
 from repro.tools.diy import DiyConfig
-from repro.tools.mcompare import DELTA_KINDS, diff_baselines
+from repro.tools.mcompare import DELTA_KINDS, BaselineIndex, diff_baselines
 
 #: the checked-in corpus: 3 suites, 222 tests, 2 profiles (444 cells).
 CORPUS = Path(__file__).parent / "corpus"
+
+#: the repository root (``src/`` and ``perfbench/`` live under it).
+REPO = Path(__file__).resolve().parents[1]
 
 #: a deliberately tiny family — two LB tests (po + the ctrl2 deleted
 #: dependency the gcc-O1-ARM profile turns positive) — so end-to-end
@@ -118,6 +125,29 @@ def _record(digest="d1", profile="llvm-O2-AArch64", verdict="equal", **extra):
     return record
 
 
+def _every_delta_kind():
+    """Blessed and current records with one delta of every kind."""
+    blessed = [
+        _record(digest="np", verdict="equal"),
+        _record(digest="lp", verdict="positive"),
+        _record(digest="vc", verdict="equal"),
+        _record(digest="oc"),
+        _record(digest="sc"),
+        _record(digest="fc", compiled_loc=4),
+        _record(digest="gone"),
+    ]
+    current = [
+        _record(digest="np", verdict="positive"),
+        _record(digest="lp", verdict="equal"),
+        _record(digest="vc", verdict="negative"),
+        _record(digest="oc", target_outcomes=[{"r0": 1}]),
+        _record(digest="sc", status="error"),
+        _record(digest="fc", compiled_loc=5),
+        _record(digest="new"),
+    ]
+    return blessed, current
+
+
 class TestBaselines:
     def test_baseline_record_strips_volatile_fields(self):
         blessed = baseline_record(_record())
@@ -134,6 +164,13 @@ class TestBaselines:
         shuffled = records[:]
         random.Random(7).shuffle(shuffled)
         write_baseline(shuffled, b)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_write_baseline_orders_tests_that_share_a_digest(self, tmp_path):
+        records = [_record(digest="d1", test=f"T{i}") for i in range(4)]
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_baseline(records, a)
+        write_baseline(records[::-1], b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_read_baseline_tolerates_torn_final_line(self, tmp_path):
@@ -197,24 +234,7 @@ class TestDiffBaselines:
         assert diff.count("status-change") == 1
 
     def test_every_delta_kind_fires(self):
-        blessed = [
-            _record(digest="np", verdict="equal"),
-            _record(digest="lp", verdict="positive"),
-            _record(digest="vc", verdict="equal"),
-            _record(digest="oc"),
-            _record(digest="sc"),
-            _record(digest="fc", compiled_loc=4),
-            _record(digest="gone"),
-        ]
-        current = [
-            _record(digest="np", verdict="positive"),
-            _record(digest="lp", verdict="equal"),
-            _record(digest="vc", verdict="negative"),
-            _record(digest="oc", target_outcomes=[{"r0": 1}]),
-            _record(digest="sc", status="error"),
-            _record(digest="fc", compiled_loc=5),
-            _record(digest="new"),
-        ]
+        blessed, current = _every_delta_kind()
         diff = diff_baselines(blessed, current)
         assert sorted(d.kind for d in diff.deltas) == sorted(DELTA_KINDS)
         for kind in DELTA_KINDS:
@@ -415,6 +435,161 @@ class TestSuiteCache:
                     list(session.farm(corpus))
         # three tests parsed and linted on each pass
         assert len(calls.parsed) == calls.lints == 2 * 3
+
+
+    def test_tests_sharing_a_digest_raise_on_every_pass(self, corpus):
+        """A renamed copy of a test would share its baseline row: one of
+        the two verdicts would never be diffed."""
+        suite = os.path.join(corpus, "suites", "mini.jsonl")
+        lines = Path(suite).read_text().splitlines()
+        entry = json.loads(lines[0])
+        copy = dict(entry, name="copy", source=entry["source"].replace(
+            f"C {entry['name']}", "C copy", 1))
+        _regenerate_suite(corpus, lines + [json.dumps(copy, sort_keys=True)])
+        with Session() as session:
+            for _ in range(2):
+                with pytest.raises(
+                    FarmError,
+                    match=f"suite 'mini' .* '{entry['name']}' and 'copy'",
+                ):
+                    list(session.farm(corpus))
+            assert not session._suites
+
+
+# --------------------------------------------------------------------------- #
+# the session's baseline index
+# --------------------------------------------------------------------------- #
+def _mini_baseline(root):
+    return os.path.join(root, "baselines", "mini--gcc-O1-ARM--rc11.jsonl")
+
+
+@pytest.fixture
+def baseline_reads(monkeypatch):
+    """The paths the farm engine reads blessed baselines from."""
+    import repro.api.farm
+
+    paths = []
+    read = repro.api.farm.read_baseline
+
+    def counting_read(path):
+        paths.append(path)
+        return read(path)
+
+    monkeypatch.setattr(repro.api.farm, "read_baseline", counting_read)
+    return paths
+
+
+def _suite_reports(events):
+    return [(e.report, e.drift_counts)
+            for e in events if isinstance(e, SuiteFinished)]
+
+
+class TestBaselineCache:
+    def test_each_baseline_is_read_once_per_session(self, baseline_reads):
+        with Session() as session:
+            cold = list(session.farm(str(CORPUS)))
+            assert len(baseline_reads) == 6
+            warm = list(session.farm(str(CORPUS)))
+            assert len(baseline_reads) == 6
+            assert len(session._baselines) == 6
+        for events in (cold, warm):
+            assert events[-1].cells == 444
+            assert events[-1].drift == 0
+
+    def test_flipped_verdict_is_read_again(self, corpus, baseline_reads):
+        path = _mini_baseline(corpus)
+        with Session() as session:
+            assert list(session.farm(corpus))[-1].drift == 0
+            rows = read_baseline(path)
+            flipped = next(r for r in rows if r["verdict"] == "positive")
+            flipped["verdict"] = "equal"
+            write_baseline(rows, path)
+            events = list(session.farm(corpus))
+        assert len(baseline_reads) == 2
+        [(report, counts)] = _suite_reports(events)
+        assert counts == {"new-positive": 1}
+        assert f"[new-positive] {flipped['test']}" in report
+
+    def test_torn_final_line_is_read_again(self, corpus, baseline_reads):
+        with Session() as session:
+            list(session.farm(corpus))
+            with open(_mini_baseline(corpus), "a") as handle:
+                handle.write('{"digest": "torn-mid-wri')
+            events = list(session.farm(corpus))
+        assert len(baseline_reads) == 2
+        assert events[-1].drift == 0
+
+    def test_bless_then_run_reads_the_file_again(self, corpus, baseline_reads):
+        with Session() as session:
+            list(session.farm(corpus))
+            list(session.farm(FarmPlan(root=corpus, bless=True)))
+            events = list(session.farm(corpus))
+        assert len(baseline_reads) == 2
+        assert events[-1].drift == 0
+
+    def test_one_entry_per_baseline_path(self, corpus):
+        path = _mini_baseline(corpus)
+        with Session() as session:
+            for tail in ("", "\n", '{"torn'):
+                with open(path, "a") as handle:
+                    handle.write(tail)
+                list(session.farm(corpus))
+                assert list(session._baselines) == [os.path.abspath(path)]
+                assert session._baselines[os.path.abspath(path)][0] == \
+                    file_digest(path)
+
+    def test_repeated_recheck_matches_a_fresh_session(self, corpus):
+        plan = FarmPlan(root=corpus, source_model="rc11+lb")
+        fresh = _suite_reports(Session().farm(plan))
+        assert fresh[0][1].get("lost-positive")
+        with Session() as session:
+            list(session.farm(corpus))
+            # another model's drift first: the memo must not answer for it
+            sc = _suite_reports(
+                session.farm(FarmPlan(root=corpus, source_model="sc")))
+            assert sc != fresh
+            passes = [_suite_reports(session.farm(plan)) for _ in range(2)]
+        assert passes == [fresh, fresh]
+
+    def test_an_index_diffs_like_its_records(self):
+        blessed, current = _every_delta_kind()
+        expected = diff_baselines(blessed, current)
+        index = BaselineIndex(blessed)
+        for _ in range(2):  # the second diff answers from the drift memo
+            diff = diff_baselines(index, current)
+            assert diff.deltas == expected.deltas
+            assert diff.pretty() == expected.pretty()
+
+
+class TestPerfbenchHooks:
+    def test_traced_farm_records_baseline_diff_spans(self, corpus):
+        """``perfbench/tracing.py`` wraps names in ``src/`` by hand; a
+        rename must fail here, not only in a benchmark run."""
+        script = textwrap.dedent("""
+            import json, sys
+            sys.path.insert(0, sys.argv[1])
+            from tracing import Recorder, install
+            recorder = Recorder()
+            install(recorder)
+            from repro.api import Session
+            with Session() as session:
+                for _ in range(2):
+                    for event in session.farm(sys.argv[2]):
+                        pass
+            print(json.dumps([span[0] for span in recorder.spans]))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+        ))
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(REPO / "perfbench"), corpus],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        spans = Counter(json.loads(run.stdout.splitlines()[-1]))
+        # one baseline read, then one diff on each pass
+        assert spans["farm.baseline_diff"] == 3
+        assert spans["farm.suite_read"] > 0
 
 
 class TestFarmPlanValidation:
