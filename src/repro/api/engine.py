@@ -261,6 +261,7 @@ class _CellContext:
         self.stages_token = session.stages_token()
         self.source_sig = self.model_sig(plan.source_model)
         self._arch_sigs: Dict[str, str] = {}
+        self._profiles: Dict[Tuple, Tuple] = {}
         #: source-simulation keys actually produced during this run
         self.simulated_sources: set = set()
 
@@ -321,11 +322,16 @@ class _CellContext:
         def produce():
             # the session's epoch overlay decides which compiler bugs this
             # cell simulates; the profile signatures carry those bug sets
-            # into the key (private epochs are process/store-guarded)
-            profiles = spec.profiles(self.session.epochs)
+            # into the key (private epochs are process/store-guarded).
+            # Both are resolved once per (compiler, opt, arch, pair).
+            shape = (spec.compiler, spec.opt, spec.arch, spec.pair)
+            if shape not in self._profiles:
+                profiles = spec.profiles(self.session.epochs)
+                self._profiles[shape] = (profiles, tuple(map(profile_signature, profiles)))
+            profiles, signatures = self._profiles[shape]
             key = (
                 spec.litmus.digest(),
-                *(profile_signature(p) for p in profiles),
+                *signatures,
                 self.source_model, self.source_sig, self.arch_sig(spec.arch),
                 self.augment, self.budget_candidates, self.stages_token,
             )

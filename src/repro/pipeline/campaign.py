@@ -28,6 +28,7 @@ for GCC ``-O1`` on Armv7 (the deleted control dependency, masked at
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import (
     Callable,
     Dict,
@@ -303,8 +304,10 @@ def _campaign_cells(
 # --------------------------------------------------------------------------- #
 # cell evaluation → verdict records
 # --------------------------------------------------------------------------- #
+@lru_cache(maxsize=256)
 def _profile_name(compiler: str, opt: str, arch: str) -> str:
-    """The profile name for record/store keys.
+    """The profile name for record/store keys, built once per triple
+    (a name carries no epoch, so no registration can change it).
 
     Must never raise: an unbuildable profile (unknown arch, bad flag) is
     tallied as an error *cell*, not a campaign abort, so its record still

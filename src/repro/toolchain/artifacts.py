@@ -12,7 +12,8 @@ monolithic function; each intermediate product is now a first-class,
 An artifact's :attr:`~Artifact.key` is derived from the producing stage's
 name, its parameter signature, and the keys of its input artifacts — so
 identity flows through the derivation chain from the source test's
-content digest.  Two calls that would compute the same artifact share one
+content digest (the target simulation's from the lifted test's own,
+:meth:`AsmLitmus.digest`).  Two calls that would compute the same artifact share one
 key no matter which session, thread or worker process asks, which is
 what makes the per-stage cache (:mod:`repro.toolchain.cache`) sound: a
 re-check under a *new target model* reuses the compiled litmus (same

@@ -10,9 +10,9 @@ outcome sets are cached under their content addresses independently, so
   and ``lift`` artifact (only the target simulation and compare re-run);
 * the two branches of a differential cell share one ``prepare`` artifact
   and one source-side ``OutcomeSet``;
-* two profiles that happen to compile a test identically still cache
-  separately (profile identity is part of the key) — soundness over
-  opportunism.
+* cells whose compilations lift to the same asm litmus test share one
+  target simulation, keyed by :meth:`AsmLitmus.digest` (every field the
+  simulation reads); their compiles and lifts still cache separately.
 
 Exactly-once semantics, error caching and thread safety come from
 :class:`repro.core.cache.KeyedCache`; this module adds the per-stage
@@ -74,7 +74,8 @@ class ArtifactCache:
         """Actual stage executions — the "work done" counter the
         acceptance criteria are stated in (a 2-profile differential
         campaign compiles each (test, profile) exactly once ⇔
-        ``misses("compile") == tests × profiles``)."""
+        ``misses("compile") == tests × profiles``; its
+        ``misses("simulate-target")`` counts distinct lifted tests)."""
         return self.stage(stage).misses
 
     def stats(self) -> Dict[str, Dict[str, int]]:

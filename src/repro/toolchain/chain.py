@@ -26,8 +26,11 @@ Cache-identity invariants (what makes replaying an artifact sound):
 
 * an artifact's key is ``(stage name, stage signature, input keys)``
   and the graph's root key is :meth:`CLitmus.digest` — pure *content*
-  addresses.  Test names never enter identity, so renamed tests (hunt
-  mutants, reduction outputs, re-generated suites) share artifacts;
+  addresses (``simulate-target`` keys by :meth:`AsmLitmus.digest`, so
+  cells that lift alike share one simulation).  Test names never enter
+  identity, so renamed tests (hunt mutants, reduction outputs,
+  re-generated suites) share artifacts; the compositions relabel what
+  they return with the caller's test name;
 * a stage ``signature()`` must cover every parameter that changes its
   output — model identity enters as what the name resolves to in the
   toolchain's model registry (``model_key``), so a session that shadows
@@ -73,6 +76,16 @@ from .artifacts import (
 from .cache import ArtifactCache
 from .results import DifferentialResult, TelechatResult
 from .stages import STAGES, Stage
+
+
+def _named(value, name: str):
+    """``value`` under test ``name``.  Stages cache by content, so a
+    cached litmus, simulation or comparison carries the name of whichever
+    test produced it first; results and traces relabel it."""
+    if value is None:
+        return None
+    attr = "test_name" if hasattr(value, "test_name") else "name"
+    return value if getattr(value, attr) == name else dc_replace(value, **{attr: name})
 
 
 @dataclass(frozen=True)
@@ -295,7 +308,7 @@ class Toolchain:
                 "budget": budget,
                 "keep_executions": keep_executions,
             },
-            (target.key,),
+            (target.litmus.digest(),),
             trace,
         )
 
@@ -310,7 +323,7 @@ class Toolchain:
             "compare",
             {},
             {"left": left, "right": right, "prepared": prepared},
-            (left.key, right.key),
+            (left.key, right.key, prepared.key),
             trace,
         )
 
@@ -351,13 +364,14 @@ class Toolchain:
             keep_executions=keep_executions, trace=t,
         )
         verdict = self.compare(source_out, target_out, prepared, trace=t)
+        name = litmus.name
         return TelechatResult(
-            test_name=litmus.name,
+            test_name=name,
             profile=profile,
-            comparison=verdict.comparison,
-            source_result=source_out.result,
-            target_result=target_out.result,
-            compiled=lifted.litmus,
+            comparison=_named(verdict.comparison, name),
+            source_result=_named(source_out.result, name),
+            target_result=_named(target_out.result, name),
+            compiled=_named(lifted.litmus, name),
             s2l_stats=lifted.stats,
             source_seconds=source_out.seconds,
             target_seconds=target_out.seconds,
@@ -421,7 +435,8 @@ class Toolchain:
         compiled_a, lifted_a, out_a = branch(profile_a)
         compiled_b, lifted_b, out_b = branch(profile_b)
         verdict = self.compare(out_a, out_b, prepared, trace=t)
-        comparison = verdict.comparison
+        name = litmus.name
+        comparison = _named(verdict.comparison, name)
         if source_out is not None:
             # the oracle overrides the UB flag mcompare read off branch a
             # (an asm simulation never carries C-level data-race UB)
@@ -445,17 +460,17 @@ class Toolchain:
             artifacts[f"lift:{suffix}"] = lifted.key
             artifacts[f"simulate-target:{suffix}"] = out.key
         return DifferentialResult(
-            test_name=litmus.name,
+            test_name=name,
             profile_a=profile_a,
             profile_b=profile_b,
             comparison=comparison,
-            result_a=out_a.result,
-            result_b=out_b.result,
-            compiled_a=lifted_a.litmus,
-            compiled_b=lifted_b.litmus,
+            result_a=_named(out_a.result, name),
+            result_b=_named(out_b.result, name),
+            compiled_a=_named(lifted_a.litmus, name),
+            compiled_b=_named(lifted_b.litmus, name),
             stats_a=lifted_a.stats,
             stats_b=lifted_b.stats,
-            source_result=source_out.result if source_out else None,
+            source_result=_named(source_out.result, name) if source_out else None,
             source_model=source_out.result.model_name if source_out else "",
             source_seconds=source_out.seconds if source_out else 0.0,
             source_reused=source_reused,
@@ -499,6 +514,11 @@ class Toolchain:
                 augment=augment, optimise=optimise, unroll=unroll,
                 budget=budget, keep_executions=keep_executions, trace=trace,
             )
+        entries = [TraceEntry(dc_replace(entry.artifact, **{
+            part: _named(getattr(entry.artifact, part), litmus.name)
+            for part in ("litmus", "result", "comparison")
+            if hasattr(entry.artifact, part)
+        }), entry.cached) for entry in trace]
         return ToolchainTrace(
-            test_name=litmus.name, entries=trace, result=result
+            test_name=litmus.name, entries=entries, result=result
         )

@@ -229,7 +229,7 @@ class SimulateTargetStage(Stage):
         return OutcomeSet(
             key=key,
             stage=self.name,
-            inputs=(target.key,),
+            inputs=(target.litmus.digest(),),
             seconds=result.elapsed_seconds,
             result=result,
             side="target",
@@ -262,7 +262,7 @@ class CompareStage(Stage):
         return Verdict(
             key=key,
             stage=self.name,
-            inputs=(left.key, right.key),
+            inputs=(left.key, right.key, prepared.key),
             seconds=time.perf_counter() - start,
             comparison=comparison,
         )
