@@ -19,7 +19,6 @@ from .engine import (
     CampaignStream,
     fold_events,
     iter_campaign,
-    iter_hunt,
     iter_sharded,
 )
 from .events import (
@@ -57,6 +56,5 @@ __all__ = [
     "fold_events",
     "iter_campaign",
     "iter_farm",
-    "iter_hunt",
     "iter_sharded",
 ]

@@ -6,17 +6,21 @@ work-list order), and :func:`fold_events` reconstructs the deterministic
 :class:`~repro.pipeline.campaign.CampaignReport` from any complete
 stream.
 
-All three campaign modes run through the one skeleton:
+Every campaign mode runs the one round loop of :func:`iter_campaign`
+(store replay, then the pending cells, each persisted before its event
+is yielded):
 
-* ``mode="tv"`` — translation validation, one cell per (test × arch ×
-  opt × compiler), evaluated by the staged toolchain's ``run_tv``;
+* ``mode="tv"`` — translation validation, one round with one cell per
+  (test × arch × opt × compiler), evaluated by the staged toolchain's
+  ``run_tv``;
 * ``mode="differential"`` — compiler vs compiler (paper §IV-D), one
-  cell per (test × profile pair), evaluated by ``run_differential``.
-  Cells tally under ``(arch, "diff", "<spec_a>|<spec_b>")``, so shard
-  merging, store replay and event folding need no special cases;
-* ``mode="hunt"`` — the §V mutation loop (:func:`iter_hunt`): tv cells
-  over a work list that *grows* round by round from verdict feedback,
-  plus reduction of every positive (:mod:`repro.hunt`).
+  round with one cell per (test × profile pair), evaluated by
+  ``run_differential``.  Cells tally under ``(arch, "diff",
+  "<spec_a>|<spec_b>")``, so shard merging, store replay and event
+  folding need no special cases;
+* ``mode="hunt"`` — the §V mutation loop: tv cells over rounds that the
+  verdicts so far schedule, plus reduction of every positive
+  (:mod:`repro.hunt`).
 
 Invariants the rest of the system builds on:
 
@@ -183,8 +187,10 @@ def _run_pending(
     mode shares.  Every cell goes through :meth:`_CellContext.evaluate`;
     ``processes`` only hands its memo misses to the session's process
     pool, waited on by twice as many threads, so each worker has its next
-    miss queued while the parent shapes the last one.  The sources cells ran are folded
-    into ``ctx.simulated_sources`` here, as their records land.
+    miss queued while the parent shapes the last one.  The sources cells
+    ran are folded into ``ctx.simulated_sources``, and the cells the memo
+    answered into ``ctx.cached_cells``, here in the consumer's thread, as
+    their records land.
 
     Invariants: records arrive in *completion* order (events carry their
     deterministic index, so folding is order-independent); on a pool an
@@ -204,9 +210,10 @@ def _run_pending(
     )
 
     def landed(index: int, spec: CellSpec, outcome):
-        record, ran_source = outcome
+        record, ran_source, cached = outcome
         if ran_source:
             ctx.simulated_sources.add(ctx.source_key_of(spec.litmus))
+        ctx.cached_cells += cached
         return index, spec, record
 
     try:
@@ -246,9 +253,9 @@ class _CellContext:
 
     Owns the session-resolved cache identity (model/arch signatures,
     resolved profile signatures, stage token — the PR 2 rule: verdicts
-    key by what names *resolve to*, never names alone), the tally of
-    source simulations cells ran, and :meth:`evaluate`, every backend's
-    face of :func:`run_cell`.
+    key by what names *resolve to*, never names alone), the run's tallies
+    of source simulations cells ran and of cells the memo answered, and
+    :meth:`evaluate`, every backend's face of :func:`run_cell`.
     """
 
     def __init__(self, plan: CampaignPlan, session) -> None:
@@ -264,6 +271,8 @@ class _CellContext:
         self._profiles: Dict[Tuple, Tuple] = {}
         #: source-simulation keys actually produced during this run
         self.simulated_sources: set = set()
+        #: this run's cells the memo answered without running a producer
+        self.cached_cells = 0
 
     def cell(
         self,
@@ -302,12 +311,13 @@ class _CellContext:
     # -- one cell, in process ------------------------------------------ #
     def evaluate(
         self, spec: CellSpec, process_pool=None
-    ) -> Tuple[Dict[str, object], bool]:
-        """``(record, ran source)`` for one cell — the cell memo answers
-        a repeat without touching the toolchain or a worker.  A miss runs
-        on the session's toolchain, or on a worker of ``process_pool``."""
+    ) -> Tuple[Dict[str, object], bool, bool]:
+        """``(record, ran source, cached)`` for one cell — the cell memo
+        answers a repeat (``cached``) without touching the toolchain or a
+        worker.  A miss runs on the session's toolchain, or on a worker of
+        ``process_pool``."""
         trace: List[TraceEntry] = []
-        ran_in_worker = False
+        ran_in_worker = produced = False
 
         def run(profiles):
             nonlocal ran_in_worker
@@ -318,6 +328,11 @@ class _CellContext:
             if isinstance(result, ReproError):
                 raise result
             return result
+
+        def half(profiles):
+            nonlocal produced
+            produced = True
+            return result_half(spec, run(profiles))
 
         def produce():
             # the session's epoch overlay decides which compiler bugs this
@@ -335,12 +350,10 @@ class _CellContext:
                 self.source_model, self.source_sig, self.arch_sig(spec.arch),
                 self.augment, self.budget_candidates, self.stages_token,
             )
-            return self.result_cache.get(
-                key, lambda: result_half(spec, run(profiles))
-            )
+            return self.result_cache.get(key, lambda: half(profiles))
 
         record = shape_record(spec, produce)
-        return record, ran_in_worker or _ran_source(trace)
+        return record, ran_in_worker or _ran_source(trace), not produced
 
 
 def _lint_tests(tests, what: str = "test") -> None:
@@ -418,64 +431,39 @@ def _split_replay(
     return replayed, pending
 
 
-def _cell_event(
-    index: int,
-    spec: CellSpec,
-    record: Dict[str, object],
-    from_store: bool,
-    plan: CampaignPlan,
-) -> CellFinished:
-    return CellFinished(
-        index=index,
-        test=spec.litmus.name,
-        digest=str(record.get("digest", "")),
-        arch=spec.arch,
-        opt=spec.opt,
-        compiler=spec.compiler,
-        record=record,
-        from_store=from_store,
-        shard=plan.shard,
-        mode=plan.mode,
-    )
+def _differential_arch(plan: CampaignPlan, session) -> str:
+    """The one architecture a differential plan's profiles share.
 
-
-def iter_campaign(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
-    """Run ``plan`` inside ``session``, yielding events as cells finish.
-
-    Validation and work-list construction happen eagerly (errors raise
-    here, not at first ``next()``); simulation happens lazily as the
-    returned stream is consumed.
-    """
-    if plan.mode == "hunt":
-        return iter_hunt(plan, session)
-    _check_session_constraints(plan, session)
-    tests = plan.resolve_tests(shapes=session.shapes)
-    if plan.lint:
-        _lint_tests(tests)
-    store = session.store
-    result_cache = session.result_cache
-    ctx = _CellContext(plan, session)
-
-    if plan.mode == "differential":
-        # resolve the profiles eagerly — an unresolvable or
-        # cross-architecture pairing is a plan mistake, not a per-cell
-        # error (there is nothing meaningful left to run)
-        arches_used = set()
-        for spec in plan.profiles:
-            try:
-                arches_used.add(session.profile(spec).arch)
-            except ReproError as exc:
-                raise PlanError(
-                    f"differential profile {spec!r} failed to resolve: {exc}"
-                )
-        if len(arches_used) != 1:
+    Resolved eagerly: an unresolvable or cross-architecture pairing is a
+    plan mistake, not a per-cell error (there is nothing meaningful left
+    to run)."""
+    arches_used = set()
+    for spec in plan.profiles:
+        try:
+            arches_used.add(session.profile(spec).arch)
+        except ReproError as exc:
             raise PlanError(
-                f"differential testing requires a common architecture; "
-                f"profiles target {sorted(arches_used)}"
+                f"differential profile {spec!r} failed to resolve: {exc}"
             )
-        (diff_arch,) = arches_used
+    if len(arches_used) != 1:
+        raise PlanError(
+            f"differential testing requires a common architecture; "
+            f"profiles target {sorted(arches_used)}"
+        )
+    (arch,) = arches_used
+    return arch
+
+
+def _work_list(
+    plan: CampaignPlan, ctx: "_CellContext", tests
+) -> List[CellSpec]:
+    """One round's cells in deterministic order: every unordered profile
+    pair per test in differential mode, the tv sweep otherwise — then the
+    plan's shard of them."""
+    if plan.mode == "differential":
+        arch = _differential_arch(plan, ctx.session)
         work = [
-            ctx.cell(litmus, diff_arch, "diff", f"{a}|{b}", pair=(a, b))
+            ctx.cell(litmus, arch, "diff", f"{a}|{b}", pair=(a, b))
             for litmus in tests
             for a, b in itertools.combinations(plan.profiles, 2)
         ]
@@ -489,13 +477,145 @@ def iter_campaign(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
     if plan.shard is not None:
         shard_k, shard_n = plan.shard
         work = work[shard_k::shard_n]
+    return work
 
+
+def _hunt_scheduler(plan: CampaignPlan, session, seeds) -> HuntScheduler:
+    """The feedback scheduler of a hunt over ``seeds``, once its mutation
+    operators resolve in the session."""
+    operators = (
+        plan.mutations if plan.mutations is not None else DEFAULT_OPERATORS
+    )
+    try:
+        for name in operators:
+            session.mutations.resolve(name)
+    except MutationError as exc:
+        raise PlanError(f"bad hunt mutations: {exc}")
+    return HuntScheduler(
+        seeds,
+        operators=operators,
+        registry=session.mutations,
+        round_limit=plan.mutation_limit,
+    )
+
+
+def _reductions(
+    positive_cells: List[Tuple[int, CellSpec]], ctx: "_CellContext", store
+) -> Iterator[TestReduced]:
+    """Delta-debug each hunt positive to a 1-minimal reproducer, persist
+    its re-verified record (``mode="hunt"`` plus reduction lineage and the
+    printed C source) and yield it as a :class:`TestReduced`."""
+    for index, spec in positive_cells:
+        profiles = spec.profiles(ctx.session.epochs)
+
+        # the reduction oracle: "run_tv still says positive", straight
+        # through the session's toolchain (per-stage cache) — deliberately
+        # *not* through the cell memo, whose hits this run reports as
+        # ``cached_cells`` and must only ever count campaign cells
+        def check(candidate: CLitmus) -> bool:
+            result = run_cell(
+                replace(spec, litmus=candidate), ctx.toolchain, profiles,
+            )
+            return result.verdict == "positive"
+
+        try:
+            reduction = reduce_test(spec.litmus, check)
+        except ReductionError:
+            # the stored verdict said positive but the oracle disagrees
+            # (e.g. a stale store) — nothing to reduce
+            continue
+        reduced = replace(spec, litmus=reduction.reduced)
+        record = shape_record(
+            reduced,
+            lambda: result_half(
+                reduced, run_cell(reduced, ctx.toolchain, profiles)
+            ),
+        )
+        record["mode"] = "hunt"
+        record.update(reduction.lineage())
+        # the stored reproducer is self-contained: the printed C source
+        # rides along (digest-preserving, like write_suite), so a bug
+        # report needs nothing but the store record
+        record["source"] = print_c_litmus(reduction.reduced)
+        if store is not None:
+            store.put(record)
+        yield TestReduced(
+            test=spec.litmus.name,
+            digest=spec.litmus.digest(),
+            reduced_name=reduction.reduced.name,
+            reduced_digest=reduction.reduced.digest(),
+            original_statements=reduction.original_statements,
+            reduced_statements=reduction.reduced_statements,
+            steps=len(reduction.steps),
+            checks=reduction.checks,
+            record=record,
+        )
+
+
+def iter_campaign(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
+    """Run ``plan`` inside ``session``, yielding events as cells finish.
+
+    Every mode runs the same round loop.  A tv or differential plan is
+    one round over its work list.  A hunt (see :mod:`repro.hunt`) starts
+    from the plan's tests as *seeds* and repeats rounds over the mutants
+    its :class:`HuntScheduler` picks from the verdicts so far — positives
+    first, deduplicated by content digest — up to ``mutation_rounds``
+    rounds of at most ``mutation_limit`` new mutants, with a
+    :class:`HuntProgress` after each round.  Then, with ``reduce``, every
+    distinct positive is delta-debugged to a 1-minimal reproducer and
+    yielded as a :class:`TestReduced`.  Hunt records carry
+    ``mode="hunt"`` plus their mutation or reduction lineage.
+
+    Validation, round 0's work list and its store replay happen eagerly
+    (errors raise here, not at first ``next()``); simulation happens
+    lazily as the returned stream is consumed.  Hunt scheduling depends
+    only on seeds and verdicts, and indexes are assigned in schedule
+    order, so a hunt folds to the same report on every backend.
+    """
+    _check_session_constraints(plan, session)
+    tests = plan.resolve_tests(shapes=session.shapes)
+    hunt = plan.mode == "hunt"
+    if hunt and not tests:
+        raise PlanError("a hunt needs at least one seed test")
+    if plan.lint:
+        _lint_tests(tests, what="seed" if hunt else "test")
+    ctx = _CellContext(plan, session)
+    scheduler = _hunt_scheduler(plan, session, tests) if hunt else None
+    store = session.store
     start = time.perf_counter()
-    result_hits_before = result_cache.hits
+    work = _work_list(plan, ctx, scheduler.initial() if scheduler else tests)
     replayed, pending = _split_replay(work, plan, store)
 
     def events() -> Iterator[CampaignEvent]:
-        ok_cells = 0
+        nonlocal work, replayed, pending
+        ok_cells = store_hits = round_index = next_index = 0
+        #: first positive cell per digest, in index order — what a hunt
+        #: schedules from and reduces (deterministic across backends and
+        #: completion orders)
+        positive_cells: List[Tuple[int, CellSpec]] = []
+        positive_digests: set = set()
+        #: every positive cell of the current round, whatever its digest
+        round_positives: List[Tuple[int, CellSpec]] = []
+
+        def land(index, spec, record, from_store) -> CellFinished:
+            nonlocal ok_cells
+            if record.get("status") == "ok":
+                ok_cells += 1
+            if record.get("verdict") == "positive":
+                round_positives.append((index, spec))
+            return CellFinished(
+                index=index,
+                test=spec.litmus.name,
+                digest=str(record.get("digest", "")),
+                arch=spec.arch,
+                opt=spec.opt,
+                compiler=spec.compiler,
+                record=record,
+                from_store=from_store,
+                shard=plan.shard,
+                mode=plan.mode,
+            )
+
         yield CampaignStarted(
             source_model=plan.source_model,
             tests_input=len(tests),
@@ -505,167 +625,48 @@ def iter_campaign(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
             processes=plan.processes,
             shard=plan.shard,
         )
-        for index, spec, record in replayed:
-            if record.get("status") == "ok":
-                ok_cells += 1
-            yield _cell_event(index, spec, record, True, plan)
-
-        # evaluate the cells the store could not answer (see
-        # _run_pending for the error/cancellation contract)
-        producer = _run_pending(pending, plan, ctx)
-        try:
-            for index, spec, record in producer:
-                # persist *now*, so an interrupted campaign resumes from
-                # every finished cell
-                if store is not None:
-                    store.put(record)
-                if record.get("status") == "ok":
-                    ok_cells += 1
-                yield _cell_event(index, spec, record, False, plan)
-        finally:
-            # a consumer that abandons the stream early (fuzzing loops
-            # break at the first positive) must not pay for the whole
-            # campaign: closing the producer cancels everything queued
-            producer.close()
-
-        yield CampaignFinished(
-            source_model=plan.source_model,
-            compiled_tests=ok_cells,
-            elapsed_seconds=time.perf_counter() - start,
-            source_sim_keys=frozenset(ctx.simulated_sources),
-            cached_cells=result_cache.hits - result_hits_before,
-            store_hits=len(replayed),
-        )
-
-    return events()
-
-
-def iter_hunt(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
-    """Run a ``mode="hunt"`` plan: feedback-driven mutation rounds plus
-    automatic reduction of every positive (see :mod:`repro.hunt`).
-
-    Round 0 evaluates the plan's tests (the *seeds*) over the tv sweep
-    axes; each later round mutates what the verdicts so far suggest —
-    positives first, deduplicated by content digest — up to
-    ``mutation_rounds`` rounds of at most ``mutation_limit`` new mutants.
-    After the last round every distinct positive is delta-debugged to a
-    1-minimal reproducer through the session's cached toolchain, emitted
-    as a :class:`TestReduced` event and persisted (store records carry
-    ``mode="hunt"`` plus the mutation and reduction lineage).
-
-    Determinism: scheduling depends only on seeds and verdicts, indexes
-    are assigned in schedule order, and cell evaluation is the same
-    tv-cell contract as ``mode="tv"`` — so the same hunt folds to the
-    same report on the serial, thread-pool and process-pool backends.
-    """
-    if plan.mode != "hunt":
-        raise PlanError(f'iter_hunt needs mode="hunt", got {plan.mode!r}')
-    _check_session_constraints(plan, session)
-    seeds = plan.resolve_tests(shapes=session.shapes)
-    if not seeds:
-        raise PlanError("a hunt needs at least one seed test")
-    if plan.lint:
-        _lint_tests(seeds, what="seed")
-    operators = (
-        plan.mutations if plan.mutations is not None else DEFAULT_OPERATORS
-    )
-    try:
-        for name in operators:
-            session.mutations.resolve(name)
-    except MutationError as exc:
-        raise PlanError(f"bad hunt mutations: {exc}")
-
-    scheduler = HuntScheduler(
-        seeds,
-        operators=operators,
-        registry=session.mutations,
-        round_limit=plan.mutation_limit,
-    )
-    ctx = _CellContext(plan, session)
-    store = session.store
-    result_cache = session.result_cache
-    start = time.perf_counter()
-    result_hits_before = result_cache.hits
-
-    def events() -> Iterator[CampaignEvent]:
-        ok_cells = 0
-        store_hits = 0
-        next_index = 0
-        round_index = 0
-        positive_digests: set = set()
-        #: first positive cell per digest, in index order — what gets
-        #: reduced (deterministic across backends and completion orders)
-        positive_cells: List[Tuple[int, CellSpec]] = []
-        round_tests = scheduler.initial()
-
-        first_round = True
-        while round_tests:
-            work = [
-                ctx.cell(*cell)
-                for cell in _campaign_cells(
-                    round_tests, plan.arches, plan.opts, plan.compilers
-                )
-            ]
-            replayed, pending = _split_replay(work, plan, store, next_index)
-            next_index += len(work)
+        while True:
             store_hits += len(replayed)
-            if first_round:
-                first_round = False
-                yield CampaignStarted(
-                    source_model=plan.source_model,
-                    tests_input=len(seeds),
-                    cells_total=len(work),
-                    pending=len(pending),
-                    workers=plan.workers,
-                    processes=plan.processes,
-                    shard=None,
-                )
-
-            #: every positive cell of this round, whatever its digest —
-            #: the per-digest representative is chosen *after* the round,
-            #: by index, so completion order (thread/process backends)
-            #: cannot change which cell gets reduced
-            round_positives: List[Tuple[int, CellSpec]] = []
-
-            def land(index: int, spec: CellSpec, record: Dict[str, object]):
-                nonlocal ok_cells
-                if record.get("status") == "ok":
-                    ok_cells += 1
-                if record.get("verdict") == "positive":
-                    round_positives.append((index, spec))
-
             for index, spec, record in replayed:
-                land(index, spec, record)
-                yield _cell_event(index, spec, record, True, plan)
+                yield land(index, spec, record, True)
 
+            # evaluate the cells the store could not answer (see
+            # _run_pending for the error/cancellation contract)
             producer = _run_pending(pending, plan, ctx)
             try:
                 for index, spec, record in producer:
-                    # stamp hunt mode + mutation lineage (the scheduler
-                    # state never leaves this process)
-                    record = dict(record, mode="hunt")
-                    record.update(
-                        scheduler.lineage(spec.litmus.digest()).as_record()
-                    )
+                    if scheduler is not None:
+                        # stamp hunt mode + mutation lineage (the
+                        # scheduler state never leaves this process)
+                        record = dict(record, mode="hunt")
+                        record.update(
+                            scheduler.lineage(spec.litmus.digest()).as_record()
+                        )
+                    # persist *now*, so an interrupted campaign resumes
+                    # from every finished cell
                     if store is not None:
                         store.put(record)
-                    land(index, spec, record)
-                    yield _cell_event(index, spec, record, False, plan)
+                    yield land(index, spec, record, False)
             finally:
+                # a consumer that abandons the stream early (fuzzing
+                # loops break at the first positive) must not pay for the
+                # whole campaign: closing the producer cancels the queue
                 producer.close()
+            if scheduler is None:
+                break
 
-            # events may have landed in completion order; reduction (and
-            # the next round's feedback) must not depend on it
+            # cells may have landed in completion order; the next round's
+            # feedback and the reductions must not depend on it
             for index, spec in sorted(round_positives, key=lambda p: p[0]):
                 digest = spec.litmus.digest()
                 if digest not in positive_digests:
                     positive_digests.add(digest)
                     positive_cells.append((index, spec))
-
-            if round_index < plan.mutation_rounds:
-                scheduled = scheduler.next_round(positive_digests)
-            else:
-                scheduled = []
+            round_positives.clear()
+            scheduled = (
+                scheduler.next_round(positive_digests)
+                if round_index < plan.mutation_rounds else []
+            )
             yield HuntProgress(
                 round_index=round_index,
                 cells=len(work),
@@ -674,64 +675,20 @@ def iter_hunt(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
                 unique_tests=scheduler.unique_tests,
                 duplicates_skipped=scheduler.duplicates_skipped,
             )
-            round_tests = scheduled
+            if not scheduled:
+                break
             round_index += 1
-
-        if plan.reduce:
-            for index, spec in positive_cells:
-                profiles = spec.profiles(session.epochs)
-
-                # the reduction oracle: "run_tv still says positive",
-                # straight through the session's toolchain (per-stage
-                # cache) — deliberately *not* through the result cache,
-                # whose hit counter feeds report parity and must only
-                # ever count campaign cells
-                def check(candidate: CLitmus) -> bool:
-                    result = run_cell(
-                        replace(spec, litmus=candidate), ctx.toolchain,
-                        profiles,
-                    )
-                    return result.verdict == "positive"
-
-                try:
-                    reduction = reduce_test(spec.litmus, check)
-                except ReductionError:
-                    # the stored verdict said positive but the oracle
-                    # disagrees (e.g. a stale store) — nothing to reduce
-                    continue
-                reduced = replace(spec, litmus=reduction.reduced)
-                record = shape_record(
-                    reduced,
-                    lambda: result_half(
-                        reduced, run_cell(reduced, ctx.toolchain, profiles)
-                    ),
-                )
-                record["mode"] = "hunt"
-                record.update(reduction.lineage())
-                # the stored reproducer is self-contained: the printed C
-                # source rides along (digest-preserving, like write_suite),
-                # so a bug report needs nothing but the store record
-                record["source"] = print_c_litmus(reduction.reduced)
-                if store is not None:
-                    store.put(record)
-                yield TestReduced(
-                    test=spec.litmus.name,
-                    digest=spec.litmus.digest(),
-                    reduced_name=reduction.reduced.name,
-                    reduced_digest=reduction.reduced.digest(),
-                    original_statements=reduction.original_statements,
-                    reduced_statements=reduction.reduced_statements,
-                    steps=len(reduction.steps),
-                    checks=reduction.checks,
-                    record=record,
-                )
-
+            next_index += len(work)
+            work = _work_list(plan, ctx, scheduled)
+            replayed, pending = _split_replay(work, plan, store, next_index)
+        if scheduler is not None and plan.reduce:
+            yield from _reductions(positive_cells, ctx, store)
         yield CampaignFinished(
             source_model=plan.source_model,
             compiled_tests=ok_cells,
             elapsed_seconds=time.perf_counter() - start,
             source_sim_keys=frozenset(ctx.simulated_sources),
-            cached_cells=result_cache.hits - result_hits_before,
+            cached_cells=ctx.cached_cells,
             store_hits=store_hits,
         )
 

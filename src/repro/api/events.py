@@ -13,16 +13,42 @@ back into the batch :class:`~repro.pipeline.campaign.CampaignReport`,
 byte-for-byte whatever the backend or completion order (hunt extras
 fold as annotations: they never change cell tallies).
 
-Every event is a frozen dataclass with an :meth:`as_dict` JSON projection
-(the CLI's ``--json`` output is exactly one event per line).
+Every event is a frozen dataclass projected to JSON by the one
+:meth:`CampaignEvent.as_dict` (the CLI's ``--json`` output is exactly
+one event per line).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Dict, FrozenSet, Mapping, Optional, Tuple
 
 from ..pipeline.campaign import CampaignReport
+
+
+def _jsonable(value: object) -> object:
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, Mapping):
+        return dict(value)
+    if isinstance(value, CampaignReport):
+        return value.to_jsonable()
+    return value
+
+
+def json_fields(
+    obj, names: Mapping[str, Optional[str]] = {}
+) -> Dict[str, object]:
+    """Every dataclass field of ``obj`` as a JSON-ready value: tuples
+    become lists, mappings dicts and a report its ``to_jsonable()``.
+    A field is keyed by its entry in ``names`` if it has one (``None``
+    leaves it out), by its own name otherwise."""
+    data: Dict[str, object] = {}
+    for item in fields(obj):
+        key = names.get(item.name, item.name)
+        if key is not None:
+            data[key] = _jsonable(getattr(obj, item.name))
+    return data
 
 
 @dataclass(frozen=True)
@@ -31,14 +57,22 @@ class CampaignEvent:
 
     #: the JSON ``event`` discriminator, overridden per subclass.
     kind = "event"
+    #: JSON keys of the fields not written under their own name (read by
+    #: :meth:`as_dict`; ``None`` leaves a field out)
+    json_names: ClassVar[Mapping[str, Optional[str]]] = {}
 
     def as_dict(self) -> Dict[str, object]:
-        return {"event": self.kind}
+        """The event's JSON projection: ``{"event": kind}`` plus every
+        field (see :func:`json_fields`)."""
+        return {"event": self.kind, **json_fields(self, self.json_names)}
 
 
 @dataclass(frozen=True)
 class CampaignStarted(CampaignEvent):
-    """The work list is fixed: sizes, parallelism and shard are known."""
+    """The work list is fixed: sizes, parallelism and shard are known.
+
+    A hunt's work list grows round by round: its ``cells_total`` and
+    ``pending`` describe round 0 (the seeds) only."""
 
     kind = "campaign_started"
 
@@ -51,18 +85,6 @@ class CampaignStarted(CampaignEvent):
     workers: int = 1
     processes: int = 0
     shard: Optional[Tuple[int, int]] = None
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "event": self.kind,
-            "source_model": self.source_model,
-            "tests_input": self.tests_input,
-            "cells_total": self.cells_total,
-            "pending": self.pending,
-            "workers": self.workers,
-            "processes": self.processes,
-            "shard": list(self.shard) if self.shard else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -108,21 +130,6 @@ class CellFinished(CampaignEvent):
             return {}
         return {str(k): str(v) for k, v in value.items()}
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "event": self.kind,
-            "index": self.index,
-            "test": self.test,
-            "digest": self.digest,
-            "arch": self.arch,
-            "opt": self.opt,
-            "compiler": self.compiler,
-            "from_store": self.from_store,
-            "shard": list(self.shard) if self.shard else None,
-            "mode": self.mode,
-            "record": dict(self.record),
-        }
-
 
 @dataclass(frozen=True)
 class HuntProgress(CampaignEvent):
@@ -131,6 +138,7 @@ class HuntProgress(CampaignEvent):
     round's — so ``round_index`` partitions the cell stream."""
 
     kind = "hunt_progress"
+    json_names = {"round_index": "round"}
 
     #: the round whose cells have just finished (0 = the seeds)
     round_index: int = 0
@@ -144,17 +152,6 @@ class HuntProgress(CampaignEvent):
     unique_tests: int = 0
     #: mutants dropped because their digest was already scheduled
     duplicates_skipped: int = 0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "event": self.kind,
-            "round": self.round_index,
-            "cells": self.cells,
-            "positives": self.positives,
-            "scheduled": self.scheduled,
-            "unique_tests": self.unique_tests,
-            "duplicates_skipped": self.duplicates_skipped,
-        }
 
 
 @dataclass(frozen=True)
@@ -184,20 +181,6 @@ class TestReduced(CampaignEvent):
     checks: int = 0
     record: Mapping[str, object] = field(default_factory=dict)
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "event": self.kind,
-            "test": self.test,
-            "digest": self.digest,
-            "reduced_name": self.reduced_name,
-            "reduced_digest": self.reduced_digest,
-            "original_statements": self.original_statements,
-            "reduced_statements": self.reduced_statements,
-            "steps": self.steps,
-            "checks": self.checks,
-            "record": dict(self.record),
-        }
-
 
 @dataclass(frozen=True)
 class ShardMerged(CampaignEvent):
@@ -208,13 +191,6 @@ class ShardMerged(CampaignEvent):
 
     shard: Tuple[int, int] = (0, 1)
     report: CampaignReport = field(default_factory=lambda: CampaignReport(""))
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "event": self.kind,
-            "shard": list(self.shard),
-            "report": self.report.to_jsonable(),
-        }
 
 
 @dataclass(frozen=True)
@@ -233,18 +209,6 @@ class FarmStarted(CampaignEvent):
     workers: int = 1
     processes: int = 0
     bless: bool = False
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "event": self.kind,
-            "root": self.root,
-            "suites": list(self.suites),
-            "baselines": self.baselines,
-            "tests_total": self.tests_total,
-            "workers": self.workers,
-            "processes": self.processes,
-            "bless": self.bless,
-        }
 
 
 @dataclass(frozen=True)
@@ -270,20 +234,6 @@ class SuiteFinished(CampaignEvent):
     #: True when this pass re-blessed the baseline file
     blessed: bool = False
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "event": self.kind,
-            "suite": self.suite,
-            "profile": self.profile,
-            "model": self.model,
-            "tests": self.tests,
-            "records": self.records,
-            "drift": self.drift,
-            "drift_counts": dict(self.drift_counts),
-            "report": self.report,
-            "blessed": self.blessed,
-        }
-
 
 @dataclass(frozen=True)
 class FarmFinished(CampaignEvent):
@@ -302,22 +252,14 @@ class FarmFinished(CampaignEvent):
     blessed: int = 0
     elapsed_seconds: float = 0.0
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "event": self.kind,
-            "baselines": self.baselines,
-            "cells": self.cells,
-            "drift": self.drift,
-            "blessed": self.blessed,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
 
 @dataclass(frozen=True)
 class CampaignFinished(CampaignEvent):
     """End of stream: the aggregates only the whole run can know."""
 
     kind = "campaign_finished"
+    #: the keys are counted, not listed (shard merges use the keys)
+    json_names = {"source_sim_keys": None}
 
     source_model: str = "rc11"
     compiled_tests: int = 0
@@ -333,12 +275,7 @@ class CampaignFinished(CampaignEvent):
         return len(self.source_sim_keys)
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "event": self.kind,
-            "source_model": self.source_model,
-            "compiled_tests": self.compiled_tests,
-            "elapsed_seconds": self.elapsed_seconds,
-            "source_simulations": self.source_simulations,
-            "cached_cells": self.cached_cells,
-            "store_hits": self.store_hits,
-        }
+        return dict(
+            super().as_dict(), source_simulations=self.source_simulations
+        )
+

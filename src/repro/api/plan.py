@@ -38,6 +38,7 @@ from ..core.errors import ReproError
 from ..lang.ast import CLitmus
 from ..tools.diy import DiyConfig
 from ..tools.sources import TestSource, as_source
+from .events import json_fields
 
 #: Table IV's row order — the default campaign sweep.
 DEFAULT_ARCHES = ("aarch64", "armv7", "riscv64", "ppc64", "x86_64", "mips64")
@@ -216,25 +217,7 @@ class CampaignPlan:
         return {
             "tests": tests,
             "config": None if self.config is None else self.config.__class__.__name__,
-            "arches": list(self.arches),
-            "opts": list(self.opts),
-            "compilers": list(self.compilers),
-            "source_model": self.source_model,
-            "budget_candidates": self.budget_candidates,
-            "augment": self.augment,
-            "workers": self.workers,
-            "processes": self.processes,
-            "shard": list(self.shard) if self.shard else None,
-            "resume": self.resume,
-            "mode": self.mode,
-            "profiles": None if self.profiles is None else list(self.profiles),
-            "mutations": (
-                None if self.mutations is None else list(self.mutations)
-            ),
-            "mutation_rounds": self.mutation_rounds,
-            "mutation_limit": self.mutation_limit,
-            "reduce": self.reduce,
-            "lint": self.lint,
+            **json_fields(self, {"tests": None, "config": None}),
         }
 
 
@@ -292,14 +275,4 @@ class FarmPlan:
                 )
 
     def describe(self) -> Dict[str, object]:
-        return {
-            "root": self.root,
-            "suites": None if self.suites is None else list(self.suites),
-            "profiles": (
-                None if self.profiles is None else list(self.profiles)
-            ),
-            "source_model": self.source_model,
-            "workers": self.workers,
-            "processes": self.processes,
-            "bless": self.bless,
-        }
+        return json_fields(self)

@@ -49,7 +49,7 @@ from ..tools.diy import SHAPES, Shape
 from ..tools.mcompare import BaselineIndex
 from ..tools.mutate import MUTATIONS
 from ..tools.sources import TestSource
-from .engine import CampaignStream, iter_campaign, iter_hunt, iter_sharded
+from .engine import CampaignStream, iter_campaign, iter_sharded
 from .plan import CampaignPlan, FarmPlan, PlanError
 
 
@@ -391,6 +391,13 @@ class Session:
     # ------------------------------------------------------------------ #
     # running things
     # ------------------------------------------------------------------ #
+    def _budget(self, budget: Optional[Budget]) -> Optional[Budget]:
+        """``budget``, or the session's default candidate budget when the
+        caller passes none."""
+        if budget is None and self.budget_candidates is not None:
+            return Budget(max_candidates=self.budget_candidates)
+        return budget
+
     def test(
         self,
         litmus: CLitmus,
@@ -407,8 +414,6 @@ class Session:
         registries and staged toolchain (source side first: a test whose
         source simulation times out never compiles)."""
         resolved_profile = self.profile(profile)
-        if budget is None and self.budget_candidates is not None:
-            budget = Budget(max_candidates=self.budget_candidates)
         target = target_model
         if target is None:
             target = self.arch_model(resolved_profile.arch)
@@ -420,7 +425,7 @@ class Session:
             augment=augment,
             optimise=optimise,
             unroll=unroll,
-            budget=budget,
+            budget=self._budget(budget),
         )
 
     def differential(
@@ -441,8 +446,6 @@ class Session:
         and lift artifacts are shared with every other run in this
         session.  ``source_model`` is the undefined-behaviour oracle
         (pass ``None`` to skip the C-source simulation entirely)."""
-        if budget is None and self.budget_candidates is not None:
-            budget = Budget(max_candidates=self.budget_candidates)
         resolved_source = (
             None if source_model is None else self.model(source_model)
         )
@@ -457,7 +460,7 @@ class Session:
             augment=augment,
             optimise=optimise,
             unroll=unroll,
-            budget=budget,
+            budget=self._budget(budget),
         )
 
     def toolchain(self) -> "Toolchain":
@@ -483,8 +486,6 @@ class Session:
     ) -> ToolchainTrace:
         """Run the chain with a stage trace (executions kept for the
         herd dot dumps) — the engine behind ``repro explain``."""
-        if budget is None and self.budget_candidates is not None:
-            budget = Budget(max_candidates=self.budget_candidates)
         return self._toolchain.explain(
             litmus,
             self.profile(profile),
@@ -499,7 +500,7 @@ class Session:
             augment=augment,
             optimise=optimise,
             unroll=unroll,
-            budget=budget,
+            budget=self._budget(budget),
         )
 
     def campaign(self, plan: CampaignPlan) -> CampaignStream:
@@ -545,7 +546,7 @@ class Session:
                 seeds if isinstance(seeds, TestSource) else tuple(seeds)
             )
             plan = CampaignPlan(mode="hunt", tests=tests, **plan_fields)
-        return CampaignStream(iter_hunt(plan, self))
+        return CampaignStream(iter_campaign(plan, self))
 
     def reduce(
         self,
@@ -564,8 +565,7 @@ class Session:
         :class:`~repro.hunt.ReductionError` when the input itself is not
         positive — there is no bug to keep."""
         resolved_profile = self.profile(profile)
-        if budget is None and self.budget_candidates is not None:
-            budget = Budget(max_candidates=self.budget_candidates)
+        budget = self._budget(budget)
 
         def check(candidate: CLitmus) -> bool:
             result = self.test(

@@ -39,10 +39,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from ..api import (
+    CampaignEvent,
     CampaignPlan,
+    CampaignStarted,
     CellFinished,
     FarmFinished,
     FarmPlan,
@@ -59,6 +61,91 @@ from ..core.errors import LintError, ParseError
 from ..lang.parser import parse_c_litmus
 from ..tools.diy import SHAPES, DiyConfig, build_test, small_config
 from .store import CampaignStore
+
+
+class _UsageError(Exception):
+    """A bad combination of command-line options (exit 2)."""
+
+
+def _open_store(args: argparse.Namespace) -> Optional[CampaignStore]:
+    """The ``--store`` a command persists verdicts to, if any."""
+    if getattr(args, "resume", False) and not args.store:
+        raise _UsageError("--resume needs --store")
+    return CampaignStore(args.store) if args.store else None
+
+
+def _progress_line(
+    event: CampaignEvent, done: int, total: Optional[int]
+) -> str:
+    """The stderr progress line of one event ("" for none).  ``total`` is
+    the work-list size that cell lines count ``done`` against; ``None``
+    (a farm or a hunt) leaves cells uncounted and the work list
+    unannounced."""
+    if isinstance(event, CellFinished):
+        prefix = "  " if total is None else f"[{done}/{total}] "
+        origin = " (store)" if event.from_store else ""
+        return (
+            f"{prefix}{event.test} {event.arch} {event.opt} "
+            f"{event.compiler}: {event.verdict or event.status}{origin}"
+        )
+    if isinstance(event, CampaignStarted) and total is not None:
+        return (
+            f"campaign: {event.tests_input} tests, "
+            f"{event.cells_total} cells ({event.pending} to run)"
+        )
+    if isinstance(event, FarmStarted):
+        return (
+            f"farm {event.root}: {len(event.suites)} suite(s), "
+            f"{event.baselines} baseline cell(s), {event.tests_total} tests"
+        )
+    if isinstance(event, SuiteFinished):
+        state = "blessed" if event.blessed else (
+            f"{event.drift} drifting" if event.drift else "clean"
+        )
+        return (
+            f"{event.suite} @ {event.profile} [{event.model}]: "
+            f"{event.records} records, {state}"
+        )
+    if isinstance(event, HuntProgress):
+        return (
+            f"round {event.round_index}: {event.cells} cells, "
+            f"{event.positives} positive tests so far, "
+            f"{event.scheduled} mutants scheduled"
+        )
+    if isinstance(event, TestReduced):
+        return (
+            f"reduced {event.test}: {event.original_statements} -> "
+            f"{event.reduced_statements} statements "
+            f"({event.steps} steps, {event.checks} checks)"
+        )
+    return ""
+
+
+def _echo(
+    events: Iterable[CampaignEvent], args: argparse.Namespace,
+    counted: bool = False,
+) -> Iterator[CampaignEvent]:
+    """Pass ``events`` on, printing each as a ``--json`` line and its
+    progress line on stderr (``--progress``; by default when stderr is a
+    tty and ``--json`` is off).  ``counted`` announces the work list and
+    numbers each cell line against it, as ``telechat campaign`` does (a
+    hunt's work list grows round by round)."""
+    progress = args.progress
+    if progress is None:
+        progress = sys.stderr.isatty() and not args.json
+    done = 0
+    total: Optional[int] = None
+    for event in events:
+        if args.json:
+            print(json.dumps(event.as_dict(), sort_keys=True))
+        if isinstance(event, CellFinished):
+            done += 1
+        elif isinstance(event, CampaignStarted) and counted:
+            total = event.cells_total
+        line = _progress_line(event, done, total) if progress else ""
+        if line:
+            print(line, file=sys.stderr)
+        yield event
 
 
 def _cmd_examples(args: argparse.Namespace) -> int:
@@ -145,21 +232,18 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    if args.resume and not args.store:
-        print("--resume needs --store", file=sys.stderr)
-        return 2
     if args.differential and len(args.differential) < 2:
-        print("--differential needs at least two profile names "
-              "(e.g. --differential llvm-O1-AArch64 llvm-O3-AArch64)",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(
+            "--differential needs at least two profile names "
+            "(e.g. --differential llvm-O1-AArch64 llvm-O3-AArch64)"
+        )
     if args.differential and (args.arch or args.opt):
         # the sweep axes come from the profile names in differential
         # mode; silently ignoring explicit flags would misreport what ran
-        print("--differential takes its architectures and optimisation "
-              "levels from the profile names; drop --arch/--opt",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(
+            "--differential takes its architectures and optimisation "
+            "levels from the profile names; drop --arch/--opt"
+        )
     config = small_config() if args.small else DiyConfig()
     differential = bool(args.differential)
     plan = CampaignPlan(
@@ -174,36 +258,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         mode="differential" if differential else "tv",
         profiles=tuple(args.differential) if differential else None,
     )
-    store = CampaignStore(args.store) if args.store else None
-    if args.progress is None:
-        progress = sys.stderr.isatty() and not args.json
-    else:
-        progress = args.progress
-
+    store = _open_store(args)
     with Session(store=store) as session:
         stream = session.campaign(plan)
-        cells_total = 0
-        done = 0
-        for event in stream:
-            if args.json:
-                print(json.dumps(event.as_dict(), sort_keys=True))
-            if isinstance(event, CellFinished):
-                done += 1
-                if progress:
-                    origin = " (store)" if event.from_store else ""
-                    print(
-                        f"[{done}/{cells_total or '?'}] {event.test} "
-                        f"{event.arch} {event.opt} {event.compiler}: "
-                        f"{event.verdict or event.status}{origin}",
-                        file=sys.stderr,
-                    )
-            elif progress and hasattr(event, "cells_total"):
-                cells_total = event.cells_total
-                print(
-                    f"campaign: {event.tests_input} tests, "
-                    f"{event.cells_total} cells ({event.pending} to run)",
-                    file=sys.stderr,
-                )
+        for _ in _echo(stream, args, counted=True):
+            pass
         report = stream.report()
     if not args.json:
         print(report.table())
@@ -242,15 +301,9 @@ def _run_farm(args: argparse.Namespace, bless: bool) -> int:
     """The shared engine of ``farm run`` and ``farm bless``."""
     from .farm import FarmError
 
-    store = CampaignStore(args.store) if args.store else None
-    if args.progress is None:
-        progress = sys.stderr.isatty() and not args.json
-    else:
-        progress = args.progress
-
     drift = 0
     reports: List[str] = []
-    with Session(store=store) as session:
+    with Session(store=_open_store(args)) as session:
         try:
             plan = FarmPlan(
                 root=args.root,
@@ -261,37 +314,9 @@ def _run_farm(args: argparse.Namespace, bless: bool) -> int:
                 processes=args.processes,
                 bless=bless,
             )
-            for event in session.farm(plan):
-                if args.json:
-                    print(json.dumps(event.as_dict(), sort_keys=True))
-                if isinstance(event, FarmStarted):
-                    if progress:
-                        print(
-                            f"farm {event.root}: {len(event.suites)} suite(s), "
-                            f"{event.baselines} baseline cell(s), "
-                            f"{event.tests_total} tests",
-                            file=sys.stderr,
-                        )
-                elif isinstance(event, CellFinished):
-                    if progress:
-                        origin = " (store)" if event.from_store else ""
-                        print(
-                            f"  {event.test} {event.arch} {event.opt} "
-                            f"{event.compiler}: "
-                            f"{event.verdict or event.status}{origin}",
-                            file=sys.stderr,
-                        )
-                elif isinstance(event, SuiteFinished):
+            for event in _echo(session.farm(plan), args):
+                if isinstance(event, SuiteFinished):
                     reports.append(event.report)
-                    if progress:
-                        state = "blessed" if event.blessed else (
-                            f"{event.drift} drifting" if event.drift else "clean"
-                        )
-                        print(
-                            f"{event.suite} @ {event.profile} [{event.model}]: "
-                            f"{event.records} records, {state}",
-                            file=sys.stderr,
-                        )
                 elif isinstance(event, FarmFinished):
                     drift = event.drift
         except (FarmError, PlanError) as exc:
@@ -353,10 +378,7 @@ def _resolve_seeds(session: Session, specs: List[str]) -> list:
 
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
-    if args.resume and not args.store:
-        print("--resume needs --store", file=sys.stderr)
-        return 2
-    store = CampaignStore(args.store) if args.store else None
+    store = _open_store(args)
     session = Session(store=store)
     seeds = _resolve_seeds(session, args.seeds)
     plan = CampaignPlan(
@@ -374,45 +396,17 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         reduce=not args.no_reduce,
     )
 
-    if args.progress is None:
-        progress = sys.stderr.isatty() and not args.json
-    else:
-        progress = args.progress
-
     positives = []  # CellFinished events, first per digest
     seen_positive = set()
     reductions = []  # TestReduced events
     with session:
-        for event in session.hunt(plan):
-            if args.json:
-                print(json.dumps(event.as_dict(), sort_keys=True))
+        for event in _echo(session.hunt(plan), args):
             if isinstance(event, CellFinished):
                 if event.verdict == "positive" and event.digest not in seen_positive:
                     seen_positive.add(event.digest)
                     positives.append(event)
-                if progress:
-                    print(
-                        f"  {event.test} {event.arch} {event.opt} "
-                        f"{event.compiler}: {event.verdict or event.status}",
-                        file=sys.stderr,
-                    )
-            elif isinstance(event, HuntProgress):
-                if progress:
-                    print(
-                        f"round {event.round_index}: {event.cells} cells, "
-                        f"{event.positives} positive tests so far, "
-                        f"{event.scheduled} mutants scheduled",
-                        file=sys.stderr,
-                    )
             elif isinstance(event, TestReduced):
                 reductions.append(event)
-                if progress:
-                    print(
-                        f"reduced {event.test}: {event.original_statements} -> "
-                        f"{event.reduced_statements} statements "
-                        f"({event.steps} steps, {event.checks} checks)",
-                        file=sys.stderr,
-                    )
 
     if not args.json:
         if not positives:
@@ -873,7 +867,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # uniform file:line:col rendering for bad input files
         print(exc.render(), file=sys.stderr)
         return 2
-    except LintError as exc:
+    except (LintError, _UsageError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

@@ -21,6 +21,7 @@ from repro.api import (
 )
 from repro.api import session as session_module
 from repro.cat.registry import MODELS, get_source
+from repro.hunt import example_seeds
 from repro.papertests import fig1_exchange
 from repro.toolchain import Toolchain
 from repro.tools.diy import DiyConfig, build_test, get_shape, small_config
@@ -315,6 +316,151 @@ class TestParity:
                {k: vars(v) for k, v in single.cells.items()}
         assert sorted(merged.positives) == sorted(single.positives)
         assert merged.source_simulations == single.source_simulations
+
+
+BACKENDS = pytest.mark.parametrize(
+    "backend", [{}, {"workers": 2}, {"processes": 2}],
+    ids=["serial", "threads", "processes"],
+)
+
+
+class TestCachedCells:
+    """``cached_cells`` counts the memo hits of the run it reports on —
+    never those of another run that lands while its stream is open."""
+
+    @staticmethod
+    def _plans(backend):
+        # 4 tv cells; a one-round hunt over two seeds, 4 cells as well
+        axes = dict(arches=("aarch64",), compilers=("llvm", "gcc"))
+        return {
+            "tv": CampaignPlan(tests=(fig1_exchange(),),
+                               opts=("-O1", "-O2"), **axes, **backend),
+            "hunt": CampaignPlan(mode="hunt", tests=example_seeds()[:2],
+                                 opts=("-O2",), mutation_rounds=0,
+                                 reduce=False, **axes, **backend),
+        }
+
+    @staticmethod
+    def _cells_and_report(events):
+        cells = sum(isinstance(e, CellFinished) for e in events)
+        report = fold_events(events)
+        assert report.cached_cells <= cells
+        return cells, report
+
+    @pytest.mark.parametrize("mode", ["tv", "hunt"])
+    @BACKENDS
+    def test_interleaved_run_does_not_leak_hits(self, backend, mode):
+        plan = self._plans(backend)[mode]
+        with Session() as session:
+            cold_cells, cold = self._cells_and_report(
+                list(session.campaign(plan))
+            )
+            assert cold.cached_cells == 0
+            a = session.campaign(plan)  # built, not yet drained
+            b_cells, b = self._cells_and_report(list(session.campaign(plan)))
+            a_cells, a_report = self._cells_and_report(list(a))
+        assert cold_cells == a_cells == b_cells == 4
+        assert b.cached_cells == 4
+        assert a_report.cached_cells == a_cells
+
+
+class TestEventProjection:
+    """``as_dict`` is the JSON face of every event (the CLI prints it as
+    ``--json``): its keys and value shapes are pinned here."""
+
+    KEYS = {
+        "campaign_started": {
+            "source_model", "tests_input", "cells_total", "pending",
+            "workers", "processes", "shard",
+        },
+        "cell_finished": {
+            "index", "test", "digest", "arch", "opt", "compiler",
+            "from_store", "shard", "mode", "record",
+        },
+        "hunt_progress": {
+            "round", "cells", "positives", "scheduled", "unique_tests",
+            "duplicates_skipped",
+        },
+        "test_reduced": {
+            "test", "digest", "reduced_name", "reduced_digest",
+            "original_statements", "reduced_statements", "steps", "checks",
+            "record",
+        },
+        "shard_merged": {"shard", "report"},
+        "farm_started": {
+            "root", "suites", "baselines", "tests_total", "workers",
+            "processes", "bless",
+        },
+        "suite_finished": {
+            "suite", "profile", "model", "tests", "records", "drift",
+            "drift_counts", "report", "blessed",
+        },
+        "farm_finished": {
+            "baselines", "cells", "drift", "blessed", "elapsed_seconds",
+        },
+        "campaign_finished": {
+            "source_model", "compiled_tests", "elapsed_seconds",
+            "source_simulations", "cached_cells", "store_hits",
+        },
+    }
+
+    @pytest.fixture(scope="class")
+    def events(self):
+        """The first event of each kind, from tv, differential, sharded,
+        hunt and farm streams."""
+        from repro.api import FarmPlan
+
+        small = dict(config=small_config(), arches=("aarch64",),
+                     opts=("-O2",))
+        first = {}
+        with Session() as session:
+            streams = (
+                session.campaign(CampaignPlan(**small)),
+                session.campaign(CampaignPlan(
+                    config=small_config(), mode="differential",
+                    profiles=("llvm-O1-AArch64", "llvm-O3-AArch64"),
+                )),
+                session.campaign_sharded(CampaignPlan(**small), 2),
+                session.hunt(example_seeds()[:2], arches=("aarch64",),
+                             opts=("-O2",), mutation_rounds=1),
+                session.farm(FarmPlan(root=str(CORPUS), suites=("lb",),
+                                      profiles=("llvm-O2-AArch64",))),
+            )
+            for stream in streams:
+                for event in stream:
+                    first.setdefault(event.kind, event)
+        return first
+
+    def test_every_kind_is_covered(self, events):
+        assert set(events) == set(self.KEYS)
+
+    def test_keys(self, events):
+        for kind, event in events.items():
+            data = event.as_dict()
+            assert data["event"] == kind
+            assert set(data) - {"event"} == self.KEYS[kind], kind
+        assert "round_index" not in events["hunt_progress"].as_dict()
+        assert "source_sim_keys" not in events["campaign_finished"].as_dict()
+
+    def test_value_shapes(self, events):
+        for event in events.values():
+            data = event.as_dict()
+            if "shard" in data:
+                assert data["shard"] is None or type(data["shard"]) is list
+            for key in ("record", "drift_counts"):
+                if key in data:
+                    assert type(data[key]) is dict
+            json.dumps(data)
+        assert type(events["farm_started"].as_dict()["suites"]) is list
+        merged = events["shard_merged"]
+        assert merged.as_dict()["report"] == merged.report.to_jsonable()
+        assert merged.as_dict()["shard"] == [0, 2]
+        finished = events["campaign_finished"]
+        assert finished.as_dict()["source_simulations"] == len(
+            finished.source_sim_keys
+        )
+        progress = events["hunt_progress"]
+        assert progress.as_dict()["round"] == progress.round_index
 
 
 class TestFarmParity:
