@@ -13,7 +13,8 @@ into event tags by :mod:`repro.asm.semantics`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from functools import lru_cache
 from typing import FrozenSet, Optional, Tuple
 
 from ...core.registry import Registry
@@ -95,17 +96,30 @@ class Instruction:
 
         Copies the field values straight across: ``dataclasses.replace``
         would re-read every one of the 22 fields through ``fields()`` and
-        re-run ``__init__``, and the disassemble/lift round trip makes one
-        copy per instruction.  Setting the fields in declaration order
+        re-run ``__init__``.  Setting the fields in declaration order
         keeps the instance dict as compact as one ``__init__`` builds.
+        Only fields are copied, never the cached :meth:`canonical` form,
+        which belongs to the original's field values.
         """
+        unknown = changes.keys() - _FIELD_SET
+        if unknown:
+            raise TypeError(f"unknown Instruction fields: {sorted(unknown)}")
         values = self.__dict__
-        if not changes.keys() <= values.keys():
-            raise TypeError(f"unknown Instruction fields: {sorted(changes.keys() - values.keys())}")
         out = object.__new__(Instruction)
-        for name, value in values.items():
-            _setattr(out, name, changes.get(name, value))
+        for name in _FIELDS:
+            _setattr(out, name, changes[name] if name in changes else values[name])
         return out
+
+    def canonical(self) -> str:
+        """Every field rendered as :func:`canonical` renders a dataclass,
+        computed once per instance: a lifted test's content digest
+        (:meth:`~repro.asm.litmus.AsmLitmus.digest`) joins these instead
+        of walking the fields of every instruction again."""
+        cached = self.__dict__.get("_canonical")
+        if cached is None:
+            cached = _canonical_fields(self, _FIELDS)
+            _setattr(self, "_canonical", cached)
+        return cached
 
     @property
     def is_branch(self) -> bool:
@@ -113,6 +127,43 @@ class Instruction:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.text or f"{self.op.value} {self.dst or ''}"
+
+
+_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(Instruction))
+_FIELD_SET = frozenset(_FIELDS)
+
+#: values ``repr`` renders canonically as they are.
+_ATOMS = frozenset({str, int, bool, float, type(None)})
+
+
+@lru_cache(maxsize=None)
+def _field_names(kind: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(kind)) if is_dataclass(kind) else ()
+
+
+def _canonical_fields(value: object, names: Tuple[str, ...]) -> str:
+    parts = [getattr(value, name) for name in names]
+    inner = [repr(v) if type(v) in _ATOMS else canonical(v) for v in parts]
+    return f"{type(value).__name__}({','.join(inner)})"
+
+
+def canonical(value: object) -> str:
+    """``value`` rendered so that no hash seed can reorder it: dataclasses
+    field by field, dicts and sets sorted.  An :class:`Instruction`
+    answers from its cached :meth:`~Instruction.canonical` form."""
+    if type(value) is Instruction:
+        return value.canonical()
+    names = _field_names(type(value))
+    if names:
+        return _canonical_fields(value, names)
+    if isinstance(value, dict):
+        items = (f"{canonical(k)}:{canonical(v)}" for k, v in value.items())
+        return "{" + ",".join(sorted(items)) + "}"
+    if isinstance(value, (set, frozenset)):
+        return "{" + ",".join(sorted(map(canonical, value))) + "}"
+    if isinstance(value, (tuple, list)):
+        return "(" + ",".join(map(canonical, value)) + ")"
+    return repr(value)
 
 
 def label(name: str) -> Instruction:
@@ -157,18 +208,40 @@ class Isa:
 
     # ------------------------------------------------------------------ #
     def render(self, instr: Instruction) -> Instruction:
-        """Attach the printed syntax to ``instr.text``."""
-        return instr.with_text(self.print_instruction(instr))
+        """Attach the printed syntax to ``instr.text``.
+
+        Equal instructions render to one shared (frozen) instance: a
+        compile emits the same few instructions over and over."""
+        return _render(self, instr)
 
     def parse_body(self, lines: "list[str]") -> "list[Instruction]":
-        """Parse an instruction sequence, skipping blanks and comments."""
+        """Parse an instruction sequence, skipping blanks and comments.
+
+        Each distinct line is parsed once (a corpus pass disassembles
+        and re-parses the same few hundred lines thousands of times);
+        repeats share the first parse's (frozen) instance."""
         out = []
         for line in lines:
-            stripped = line.split("//")[0].split(";#")[0].strip()
-            if not stripped:
-                continue
-            out.append(self.parse_line(stripped))
+            instr = _parse(self, line)
+            if instr is not None:
+                out.append(instr)
         return out
+
+
+#: how many distinct lines (and instructions) the parse and render memos
+#: keep, over every ISA; past it the least recently used go.
+MEMO_ENTRIES = 4096
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _parse(isa: Isa, line: str) -> Optional[Instruction]:
+    stripped = line.split("//")[0].split(";#")[0].strip()
+    return isa.parse_line(stripped) if stripped else None
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _render(isa: Isa, instr: Instruction) -> Instruction:
+    return instr.with_text(isa.print_instruction(instr))
 
 
 #: the global ISA registry, on the shared protocol of

@@ -15,13 +15,12 @@ between them, which ``s2l`` reconstructs from object-file metadata.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
 from ..core.errors import MappingError
 from ..core.litmus import LitmusBase
-from .isa.base import Instruction
+from .isa.base import Instruction, canonical
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ class AsmLitmus(LitmusBase):
         the test, its threads and their instructions), name left out."""
         cached = self.__dict__.get("_digest")
         if cached is None:
-            payload = _canonical(replace(self, name=""))
+            payload = canonical(replace(self, name=""))
             cached = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
             self.__dict__["_digest"] = cached
         return cached
@@ -148,33 +147,6 @@ class AsmLitmus(LitmusBase):
                 lines.append(f"  {instr.text or instr.op.value}")
         lines.append(str(self.condition))
         return "\n".join(lines)
-
-
-#: values ``repr`` renders canonically as they are.
-_ATOMS = frozenset({str, int, bool, float, type(None)})
-
-
-@lru_cache(maxsize=None)
-def _field_names(kind: type) -> Tuple[str, ...]:
-    return tuple(f.name for f in fields(kind)) if is_dataclass(kind) else ()
-
-
-def _canonical(value: object) -> str:
-    """``value`` rendered so that no hash seed can reorder it: dataclasses
-    field by field, dicts and sets sorted."""
-    names = _field_names(type(value))
-    if names:
-        parts = [getattr(value, name) for name in names]
-        inner = [repr(v) if type(v) in _ATOMS else _canonical(v) for v in parts]
-        return f"{type(value).__name__}({','.join(inner)})"
-    if isinstance(value, dict):
-        items = (f"{_canonical(k)}:{_canonical(v)}" for k, v in value.items())
-        return "{" + ",".join(sorted(items)) + "}"
-    if isinstance(value, (set, frozenset)):
-        return "{" + ",".join(sorted(map(_canonical, value))) + "}"
-    if isinstance(value, (tuple, list)):
-        return "(" + ",".join(map(_canonical, value)) + ")"
-    return repr(value)
 
 
 def total_instructions(litmus: AsmLitmus) -> int:

@@ -100,6 +100,9 @@ class StaticEnv:
     universe: Optional[EventUniverse] = None
 
 
+_NO_EVENTS: FrozenSet[int] = frozenset()
+
+
 def build_static_env(
     events: Sequence[Event],
     po: Relation,
@@ -206,7 +209,9 @@ def build_static_env(
         "init": Relation.cartesian(init_set, universe - init_set),
     }
     for tag in KNOWN_TAG_SETS:
-        bindings[tag] = frozenset(tags_present.get(tag, ()))
+        present = tags_present.get(tag)
+        # most tag sets are empty: share one set instead of building one
+        bindings[tag] = frozenset(present) if present else _NO_EVENTS
     env = CatEnv(bindings=bindings, universe=universe, po=po, interned=uni)
     return StaticEnv(env=env, internal=internal, external=external, universe=uni)
 
@@ -218,8 +223,11 @@ def dynamic_bindings(
 ) -> Dict[str, Value]:
     """The per-candidate (rf/co-derived) bindings.
 
-    When ``static`` is given its internal/external relations are reused;
-    otherwise they are recomputed from the execution.  ``names`` limits
+    When ``static`` is given its internal/external relations are reused
+    and only ``execution``'s ``rf``/``co``/``fr`` are read, so any value
+    carrying those three serves (the simulator passes a
+    :class:`~repro.herd.enumerate.CandidateRecord`); otherwise they are
+    recomputed from the execution.  ``names`` limits
     the result to the base names a model reads
     (:attr:`~repro.cat.interp.CompiledModel.dynamic_names`); by default
     every name of :data:`~repro.cat.interp.DYNAMIC_BASE_NAMES` is built.

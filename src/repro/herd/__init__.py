@@ -6,6 +6,7 @@ from .enumerate import (
     Budget,
     Candidate,
     CoherenceStage,
+    Enumeration,
     EnumerationStats,
     ExecutionEnumerator,
     PathCombo,
@@ -15,7 +16,13 @@ from .enumerate import (
     enumerate_candidates,
     exhaustive_stages,
 )
-from .simulator import SimulationResult, run_programs, simulate_asm, simulate_c
+from .simulator import (
+    SimulationResult,
+    check,
+    run_programs,
+    simulate_asm,
+    simulate_c,
+)
 from .templates import EventTemplate, PathConstraint, ThreadPath, ThreadProgram
 
 __all__ = [
@@ -25,6 +32,7 @@ __all__ = [
     "Budget",
     "Candidate",
     "CoherenceStage",
+    "Enumeration",
     "EnumerationStats",
     "ExecutionEnumerator",
     "PathCombo",
@@ -34,6 +42,7 @@ __all__ = [
     "enumerate_candidates",
     "exhaustive_stages",
     "SimulationResult",
+    "check",
     "run_programs",
     "simulate_asm",
     "simulate_c",

@@ -44,17 +44,19 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from ..core.errors import SimulationTimeout
 from ..core.events import ACCESS_KINDS, INIT_TID, Event, EventKind
-from ..core.execution import Execution
+from ..core.execution import Execution, Outcome
 from ..core.expr import Expr
-from ..core.relations import EventUniverse, Pair, Relation, RelationBuilder
+from ..core.relations import Pair, Relation, RelationBuilder
 from .templates import EventTemplate, PathConstraint, ThreadPath, ThreadProgram, rename_reads
 
 
@@ -138,6 +140,18 @@ class EnumerationStats:
     def add_stage_time(self, name: str, seconds: float) -> None:
         self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + seconds
 
+    def add(self, other: "EnumerationStats") -> None:
+        """Fold ``other``'s counters and stage times into these."""
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for name, seconds in other.stage_seconds.items():
+            self.add_stage_time(name, seconds)
+
+    def copy(self) -> "EnumerationStats":
+        out = EnumerationStats()
+        out.add(self)
+        return out
+
     def as_dict(self) -> Dict[str, object]:
         return {
             "path_combinations": self.path_combinations,
@@ -154,6 +168,13 @@ class EnumerationStats:
         }
 
 
+_COUNTERS = (
+    "path_combinations", "rf_assignments", "candidates", "rejected_value_cycle",
+    "rejected_constraint", "rf_sources_pruned", "rejected_rf_coherence",
+    "pruned_co_prefixes", "elapsed_seconds",
+)
+
+
 @dataclass(frozen=True)
 class Candidate:
     """An execution plus the solved per-thread final-local values."""
@@ -163,6 +184,18 @@ class Candidate:
 
     def finals_dict(self) -> Dict[str, int]:
         return dict(self.finals)
+
+
+class CandidateRecord(NamedTuple):
+    """What a model check reads of one candidate: its communication
+    relations and its outcome (model-free, so computed once however many
+    models check it).  ``execution`` is kept only on request."""
+
+    rf: Relation
+    co: Relation
+    fr: Relation
+    outcome: Outcome
+    execution: Optional[Execution] = None
 
 
 class _ValueCycle(Exception):
@@ -206,9 +239,6 @@ class PathCombo:
     read_pairs: Tuple[Tuple[int, int], ...] = ()
     #: per-location CoWW edges forced by program order alone
     base_co_edges: Dict[str, List[Pair]] = field(default_factory=dict)
-    #: the interned event universe the combo's relations are encoded
-    #: against (global ids are assigned densely, 0..n-1)
-    universe: Optional[EventUniverse] = None
 
     @property
     def choice_lists(self) -> List[List[int]]:
@@ -386,6 +416,22 @@ def exhaustive_stages() -> Tuple[PruneStage, ...]:
 # --------------------------------------------------------------------- #
 # path instantiation
 # --------------------------------------------------------------------- #
+_INIT_TAGS: FrozenSet[str] = frozenset({"INIT"})
+
+
+class EventStructure(NamedTuple):
+    """The part of a :class:`PathCombo` a model check reads (its static
+    environment's inputs), kept once the combination's candidates are
+    recorded."""
+
+    events: List[Event]
+    po: Relation
+    rmw: Relation
+    addr: Relation
+    data: Relation
+    ctrl: Relation
+
+
 def _instantiate_paths(
     init: Mapping[str, int],
     chosen: Sequence[Tuple[ThreadProgram, ThreadPath]],
@@ -410,7 +456,7 @@ def _instantiate_paths(
                 kind=EventKind.WRITE,
                 loc=loc,
                 value=value,
-                tags=frozenset({"INIT"}),
+                tags=_INIT_TAGS,
             )
         )
         next_eid += 1
@@ -496,7 +542,6 @@ def _instantiate_paths(
         finals=finals,
         constraints=constraints,
         write_exprs=write_exprs,
-        universe=EventUniverse(e.eid for e in events),
     )
     _index_combo(combo)
     return combo
@@ -633,6 +678,40 @@ def _solve_values(
     return values
 
 
+def _base_execution(
+    combo: PathCombo, rf: Relation, values: Mapping[int, int]
+) -> Execution:
+    """The execution of one rf assignment, before any coherence order:
+    one sorted event tuple and id index that every coherence order of
+    the assignment shares (:meth:`Execution.with_co`)."""
+    return Execution(
+        events=[
+            e if e.value is not None or e.kind not in ACCESS_KINDS
+            else Event(e.eid, e.tid, e.kind, e.loc, values[e.eid],
+                       e.order, e.tags, e.label)
+            for e in combo.events
+        ],
+        po=combo.po,
+        rf=rf,
+        co=Relation.empty(),
+        rmw=combo.rmw,
+        addr=combo.addr,
+        data=combo.data,
+        ctrl=combo.ctrl,
+    )
+
+
+def _final_values(
+    combo: PathCombo, values: Mapping[int, int]
+) -> Tuple[Tuple[str, int], ...]:
+    """The observed thread-local finals (``("P0:r0", value)``) of one
+    rf assignment."""
+    return tuple(
+        (name, expr.eval({r: values[r] for r in expr.reads()}))
+        for name, expr in combo.finals
+    )
+
+
 # --------------------------------------------------------------------- #
 # the enumerator
 # --------------------------------------------------------------------- #
@@ -678,6 +757,14 @@ class ExecutionEnumerator:
         self._counter += 1
         self.budget.check(self._counter)
 
+    def advance(self, units: int) -> None:
+        """Charge ``units`` work units an earlier run recorded, with the
+        outcome of ticking them one by one: past the candidate budget,
+        the same :class:`SimulationTimeout` at the same count."""
+        if units:
+            self._counter += units
+            self.budget.check(min(self._counter, self.budget.max_candidates + 1))
+
     # -- stage 1: path combinations ------------------------------------ #
     def path_combos(self) -> Iterator[PathCombo]:
         for combo_paths in itertools.product(*(p.paths for p in self.programs)):
@@ -698,7 +785,12 @@ class ExecutionEnumerator:
             yield combo
 
     # -- stages 2-4: rf assignment, value solving, coherence ----------- #
-    def candidates_for(self, combo: PathCombo) -> Iterator[Candidate]:
+    def _assignments(
+        self, combo: PathCombo
+    ) -> Iterator[Tuple[Dict[int, int], Dict[int, int], Dict[str, Dict[int, Set[int]]]]]:
+        """The rf assignments of ``combo`` that survive value solving, the
+        stages' vetoes and the coherence feasibility check, each with its
+        solved values and per-location coherence constraints."""
         for rf_choice in itertools.product(*combo.choice_lists):
             self.stats.rf_assignments += 1
             rf_map = dict(zip(combo.read_ids, rf_choice))
@@ -725,33 +817,57 @@ class ExecutionEnumerator:
                 self.stats.rejected_rf_coherence += 1
                 self._tick()
                 continue
+            yield rf_map, values, edges_by_loc
 
-            # one sorted event tuple and id index per rf assignment: every
-            # coherence order below shares them (Execution.with_co)
-            base = Execution(
-                events=[
-                    e if e.value is not None or e.kind not in ACCESS_KINDS
-                    else Event(e.eid, e.tid, e.kind, e.loc, values[e.eid],
-                               e.order, e.tags, e.label)
-                    for e in combo.events
-                ],
-                po=combo.po,
-                rf=Relation((w, r) for r, w in rf_map.items()),
-                co=Relation.empty(),
-                rmw=combo.rmw,
-                addr=combo.addr,
-                data=combo.data,
-                ctrl=combo.ctrl,
-            )
-            final_values = tuple(
-                (name, expr.eval({r: values[r] for r in expr.reads()}))
-                for name, expr in combo.finals
-            )
-
-            for co in self._co_orders(combo, edges_by_loc):
+    def candidates_for(self, combo: PathCombo) -> Iterator[Candidate]:
+        for rf_map, values, edges_by_loc in self._assignments(combo):
+            rf = Relation((w, r) for r, w in rf_map.items())
+            base = _base_execution(combo, rf, values)
+            final_values = _final_values(combo, values)
+            for co, _ in self._co_orders(combo, edges_by_loc):
                 self.stats.candidates += 1
                 self._tick()
                 yield Candidate(execution=base.with_co(co), finals=final_values)
+
+    def records_for(
+        self,
+        combo: PathCombo,
+        keep_executions: bool = False,
+        outcomes: Optional[Dict[Tuple[Tuple[str, int], ...], Outcome]] = None,
+    ) -> Iterator[CandidateRecord]:
+        """The candidates of :meth:`candidates_for`, as what a model check
+        reads of them.  Builds no :class:`Execution` unless
+        ``keep_executions``; the outcome comes straight from the coherence
+        chains (the co-last write of each location).  ``outcomes``
+        interns equal outcomes across calls."""
+        if outcomes is None:
+            outcomes = {}
+        locs = sorted(combo.writes_by_loc)
+        unwritten = {
+            loc: combo.events[eid].value
+            for loc, eid in combo.init_write.items()
+            if loc not in combo.writes_by_loc
+        }
+        for rf_map, values, edges_by_loc in self._assignments(combo):
+            rf = Relation((w, r) for r, w in rf_map.items())
+            rf_inverse = rf.inverse()
+            base = _base_execution(combo, rf, values) if keep_executions else None
+            fixed = dict(unwritten)
+            fixed.update(_final_values(combo, values))
+            for co, last in self._co_orders(combo, edges_by_loc):
+                self.stats.candidates += 1
+                self._tick()
+                bindings = dict(fixed)
+                for loc, w in zip(locs, last):
+                    bindings[loc] = values[w]
+                key = tuple(sorted(bindings.items()))
+                outcome = outcomes.get(key)
+                if outcome is None:
+                    outcome = outcomes.setdefault(key, Outcome(key))
+                yield CandidateRecord(
+                    rf, co, rf_inverse.compose(co), outcome,
+                    None if base is None else base.with_co(co),
+                )
 
     def _co_constraints(
         self, combo: PathCombo, rf_map: Mapping[int, int]
@@ -791,7 +907,7 @@ class ExecutionEnumerator:
 
     def _co_orders(
         self, combo: PathCombo, preds: Dict[str, Dict[int, Set[int]]]
-    ) -> Iterator[Relation]:
+    ) -> Iterator[Tuple[Relation, Tuple[int, ...]]]:
         """All coherence orders consistent with the derived constraints.
 
         Orders are built incrementally, write-by-write and per location:
@@ -801,28 +917,31 @@ class ExecutionEnumerator:
         :meth:`Relation.from_order` (suffix bitmasks, no pair loops) and
         the cross-location product unions the disjoint row sets, so each
         location-order is encoded once and shared across its whole
-        subtree of combinations.
+        subtree of combinations.  Each order comes with its co-last write
+        per location (in sorted location order): the final memory.
         """
         locs = sorted(combo.writes_by_loc)
-        per_loc: List[List[Relation]] = []
+        per_loc: List[List[Tuple[Relation, int]]] = []
         for loc in locs:
             ws = combo.writes_by_loc[loc]
             orders = [
-                Relation.from_order((combo.init_write[loc],) + chain)
+                (Relation.from_order((combo.init_write[loc],) + chain), chain[-1])
                 for chain in self._linear_extensions(ws, preds.get(loc, {}))
             ]
             per_loc.append(orders)
         # init writes of untouched locations are co-minimal trivially
         # (single write, no pairs needed)
 
-        def product(index: int, co: Relation) -> Iterator[Relation]:
+        def product(
+            index: int, co: Relation, last: Tuple[int, ...]
+        ) -> Iterator[Tuple[Relation, Tuple[int, ...]]]:
             if index == len(per_loc):
-                yield co
+                yield co, last
                 return
-            for order in per_loc[index]:
-                yield from product(index + 1, co.union(order))
+            for order, w in per_loc[index]:
+                yield from product(index + 1, co.union(order), last + (w,))
 
-        yield from product(0, Relation.empty())
+        yield from product(0, Relation.empty(), ())
 
     def _linear_extensions(
         self, writes: Sequence[int], preds: Mapping[int, Set[int]]
@@ -857,6 +976,121 @@ class ExecutionEnumerator:
 
 
 _EMPTY_SET: FrozenSet[int] = frozenset()
+
+
+#: the most candidates one recording :class:`Enumeration` keeps (a few
+#: MB); past it, it streams like an unrecorded one
+RECORD_LIMIT = 2_000
+
+
+class Enumeration:
+    """The model-free half of a simulation: every path combination of a
+    test and, per combination, its candidates as :class:`CandidateRecord`\\ s.
+
+    Nothing here depends on a model, so one enumeration serves every
+    model that checks the test (:func:`repro.herd.simulator.check`).  A
+    combination's candidates are enumerated the first time a check asks
+    for them, so a combination whose static prefix fails under every
+    model so far is never expanded; a check that skips it does no work
+    for it, exactly as a fresh per-model run would not.
+
+    With ``record`` set, the candidates of each fully enumerated
+    combination are kept with the work units (budget ticks) and
+    :class:`EnumerationStats` they cost, and later checks replay them:
+    the units are charged to the later check's budget
+    (:meth:`ExecutionEnumerator.advance`) and the stats folded into its
+    own, so every check times out at the same count, with the same
+    message and the same stats, as a fresh run under its model.  A
+    combination cut short by a timeout is not kept.  Without ``record``
+    the enumeration streams: candidates are dropped once checked.  A
+    recording enumeration keeps at most :data:`RECORD_LIMIT` candidates;
+    a combination past that streams, and every check expands it again.
+
+    Thread-safe for concurrent checks: a combination two checks expand
+    at once is enumerated twice and kept once, identically.
+    """
+
+    def __init__(
+        self,
+        init: Mapping[str, int],
+        programs: Sequence[ThreadProgram],
+        stages: Optional[Sequence[PruneStage]] = None,
+        keep_executions: bool = False,
+        record: bool = False,
+    ) -> None:
+        start = time.perf_counter()
+        self.stages = tuple(stages) if stages is not None else default_stages()
+        self.keep_executions = keep_executions
+        self.record = record
+        #: the model-free part of every check's stats: combinations and
+        #: the rf sources the stages filtered out before any candidate
+        self.stats = EnumerationStats()
+        enumerator = ExecutionEnumerator(
+            init, programs, stats=self.stats, stages=self.stages
+        )
+        #: every feasible combination; a recorded one is reduced to its
+        #: :class:`EventStructure`
+        self.combos: List[Union[PathCombo, EventStructure]] = list(
+            enumerator.path_combos()
+        )
+        self._recorded: List[
+            Optional[Tuple[int, EnumerationStats, Tuple[CandidateRecord, ...]]]
+        ] = [None] * len(self.combos)
+        self._outcomes: Dict[Tuple[Tuple[str, int], ...], Outcome] = {}
+        self._room = RECORD_LIMIT  # candidates this enumeration may still keep
+        self.stats.elapsed_seconds = time.perf_counter() - start
+
+    def run(self, budget: Optional[Budget] = None) -> ExecutionEnumerator:
+        """A started enumerator that charges one check's work to
+        ``budget`` and counts it into its own stats (a copy of
+        :attr:`stats`); pass it to :meth:`candidates`."""
+        # the combinations are instantiated already: the run only
+        # expands them, so it needs no init or programs
+        run = ExecutionEnumerator(
+            {}, (), budget=budget, stats=self.stats.copy(), stages=self.stages
+        )
+        run.start()
+        return run
+
+    def candidates(
+        self, index: int, run: ExecutionEnumerator
+    ) -> Iterable[CandidateRecord]:
+        """The candidates of :attr:`combos` ``[index]``, charged to ``run``."""
+        # read the combination before the record: a concurrent check
+        # records it before reducing it to its event structure, so a
+        # combination read unrecorded here is still a whole PathCombo
+        combo = self.combos[index]
+        recorded = self._recorded[index]
+        if recorded is None:
+            return self._expand(index, combo, run)
+        units, stats, records = recorded
+        run.advance(units)
+        run.stats.add(stats)
+        return records
+
+    def _expand(
+        self, index: int, combo: PathCombo, run: ExecutionEnumerator
+    ) -> Iterator[CandidateRecord]:
+        outer, run.stats = run.stats, EnumerationStats()
+        explored = run._counter
+        keep = self.record
+        records: List[CandidateRecord] = []
+        try:
+            for record in run.records_for(combo, self.keep_executions, self._outcomes):
+                if keep and len(records) < self._room:
+                    records.append(record)
+                elif keep:
+                    keep, records = False, []  # too many to keep: stream
+                yield record
+        finally:
+            stats, run.stats = run.stats, outer
+        outer.add(stats)
+        if keep:
+            self._room -= len(records)
+            self._recorded[index] = (run._counter - explored, stats, tuple(records))
+            self.combos[index] = EventStructure(
+                combo.events, combo.po, combo.rmw, combo.addr, combo.data, combo.ctrl
+            )
 
 
 def enumerate_candidates(

@@ -64,7 +64,9 @@ from .store import CampaignStore
 
 
 class _UsageError(Exception):
-    """A bad combination of command-line options (exit 2)."""
+    """A bad combination of command-line options (exit 2).  A
+    :class:`PlanError` (a plan the engine refuses) is reported the same
+    way."""
 
 
 def _open_store(args: argparse.Namespace) -> Optional[CampaignStore]:
@@ -319,7 +321,7 @@ def _run_farm(args: argparse.Namespace, bless: bool) -> int:
                     reports.append(event.report)
                 elif isinstance(event, FarmFinished):
                     drift = event.drift
-        except (FarmError, PlanError) as exc:
+        except FarmError as exc:
             print(str(exc), file=sys.stderr)
             return 2
     if not args.json:
@@ -867,7 +869,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # uniform file:line:col rendering for bad input files
         print(exc.render(), file=sys.stderr)
         return 2
-    except (LintError, _UsageError) as exc:
+    except (LintError, PlanError, _UsageError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

@@ -113,13 +113,22 @@ class CampaignStore:
         return list(self._records.values())
 
     def put(self, record: Dict[str, object]) -> str:
-        """Append one verdict record and return its key."""
+        """Append one verdict record and return its key.
+
+        A file that does not end in a newline (a torn final line from a
+        crashed writer) gets one first, so the record starts its own
+        line instead of being glued onto the fragment and lost with it
+        on the next load."""
         record = dict(record, schema=STORE_SCHEMA)
         key = record_key(record)
-        line = json.dumps(record, sort_keys=True)
+        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            with open(self.path, "a+b") as handle:
+                if handle.seek(0, os.SEEK_END):
+                    handle.seek(-1, os.SEEK_END)
+                    if handle.read(1) != b"\n":
+                        line = b"\n" + line
+                handle.write(line)
             self._records[key] = record
             self.appended += 1
         return key

@@ -12,7 +12,13 @@ outcome sets are cached under their content addresses independently, so
   and one source-side ``OutcomeSet``;
 * cells whose compilations lift to the same asm litmus test share one
   target simulation, keyed by :meth:`AsmLitmus.digest` (every field the
-  simulation reads); their compiles and lifts still cache separately.
+  simulation reads); their compiles and lifts still cache separately;
+* a source simulation under a second source model (the Claim 4 sweep)
+  only checks: the model-free half of every source simulation — path
+  combinations, candidates and outcomes — is kept in the
+  :data:`ENUMERATE_SOURCE` partition, keyed by the prepared test, unroll,
+  budget and execution keeping, and read only when ``simulate-source``
+  misses.
 
 Exactly-once semantics, error caching and thread safety come from
 :class:`repro.core.cache.KeyedCache`; this module adds the per-stage
@@ -26,6 +32,13 @@ import threading
 from typing import Callable, Dict, Optional
 
 from ..core.cache import KeyedCache
+
+#: the partition holding each source test's model-free enumeration
+#: (:class:`~repro.herd.enumerate.Enumeration`).  It is part of the
+#: ``simulate-source`` stage's work, not a stage's output, so
+#: :meth:`ArtifactCache.stats` leaves it out; read its counters with
+#: :meth:`ArtifactCache.hits` / :meth:`ArtifactCache.misses`.
+ENUMERATE_SOURCE = "enumerate-source"
 
 
 class ArtifactCache:
@@ -81,9 +94,11 @@ class ArtifactCache:
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Per-stage counters, for ``Session.toolchain()`` introspection
         and the cache-reuse benchmark.  Stages no lookup has reached are
-        left out (reading a stage's counters does not make it used)."""
+        left out (reading a stage's counters does not make it used), and
+        so is :data:`ENUMERATE_SOURCE`, which is not a stage."""
         with self._lock:
             snapshot = dict(self._stages)
+        snapshot.pop(ENUMERATE_SOURCE, None)
         return {
             name: {
                 "hits": cache.hits,

@@ -59,7 +59,8 @@ from ..cat.registry import ARCH_MODEL, MODELS, resolve_model
 from ..compiler.profiles import CompilerProfile
 from ..core.errors import ModelError, ReproError
 from ..core.registry import Registry
-from ..herd.enumerate import Budget
+from ..herd.enumerate import Budget, Enumeration
+from ..herd.simulator import enumerate_c
 from ..lang.ast import CLitmus
 from .artifacts import (
     Artifact,
@@ -70,10 +71,11 @@ from .artifacts import (
     TargetLitmus,
     Verdict,
     artifact_keys,
+    budget_signature,
     make_key,
     model_key,
 )
-from .cache import ArtifactCache
+from .cache import ENUMERATE_SOURCE, ArtifactCache
 from .results import DifferentialResult, TelechatResult
 from .stages import STAGES, Stage
 
@@ -261,6 +263,21 @@ class Toolchain:
         keep_executions: bool = False,
         trace: Optional[List[TraceEntry]] = None,
     ) -> OutcomeSet:
+        def enumeration() -> Enumeration:
+            # the model-free half, shared by every source model of the test
+            signature = "|".join((
+                f"unroll={unroll}", budget_signature(budget),
+                f"exec={int(bool(keep_executions))}",
+            ))
+            return self.cache.get(
+                ENUMERATE_SOURCE,
+                make_key(ENUMERATE_SOURCE, signature, (prepared.key,)),
+                lambda: enumerate_c(
+                    prepared.litmus, unroll=unroll,
+                    keep_executions=keep_executions, record=True,
+                ),
+            )
+
         return self._run(
             "simulate-source",
             {
@@ -272,9 +289,8 @@ class Toolchain:
             {
                 "prepared": prepared,
                 "model": self._model(model),
-                "unroll": unroll,
+                "enumeration": enumeration,
                 "budget": budget,
-                "keep_executions": keep_executions,
             },
             (prepared.key,),
             trace,

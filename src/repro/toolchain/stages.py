@@ -5,16 +5,22 @@ contributes two things to the artifact's identity: its registry *name*
 and its parameter *signature*.  The default six stages reproduce the
 paper's Fig. 5 chain:
 
-========  =====================================  =========================
-name      maps                                   engine behind it
-========  =====================================  =========================
-prepare   SourceTest → PreparedSource            :func:`repro.tools.l2c.prepare`
-compile   PreparedSource → CompiledObject        :func:`repro.tools.c2s.compile_and_disassemble`
-lift      CompiledObject → TargetLitmus          :func:`repro.tools.s2l.assembly_to_litmus`
-simulate-source  PreparedSource → OutcomeSet     :func:`repro.herd.simulator.simulate_c`
-simulate-target  TargetLitmus → OutcomeSet       :func:`repro.herd.simulator.simulate_asm`
-compare   OutcomeSet × OutcomeSet → Verdict      :func:`repro.tools.mcompare.mcompare`
-========  =====================================  =========================
+===============  ===================================  =========================
+name             maps                                 engine behind it
+===============  ===================================  =========================
+prepare          SourceTest → PreparedSource          :func:`repro.tools.l2c.prepare`
+compile          PreparedSource → CompiledObject      :func:`repro.tools.c2s.compile_and_disassemble`
+lift             CompiledObject → TargetLitmus        :func:`repro.tools.s2l.assembly_to_litmus`
+simulate-source  PreparedSource → OutcomeSet          :func:`repro.herd.simulator.check` under the model, over the test's cached model-free :func:`~repro.herd.simulator.enumerate_c`
+simulate-target  TargetLitmus → OutcomeSet            :func:`repro.herd.simulator.simulate_asm`
+compare          OutcomeSet × OutcomeSet → Verdict    :func:`repro.tools.mcompare.mcompare`
+===============  ===================================  =========================
+
+``simulate-source`` is the one stage with a cached part of its own: the
+test's enumeration (path combinations, candidates, outcomes) depends on
+no model, so the toolchain keeps it in the ``enumerate-source``
+partition of its cache and a second source model of the same test only
+checks it (:class:`SimulateSourceStage`).
 
 Stages live in the :data:`STAGES` registry (the shared
 :class:`repro.core.registry.Registry` protocol), so embedders can swap a
@@ -29,13 +35,13 @@ stock ones in a shared cache.
 from __future__ import annotations
 
 import time
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from ..cat.interp import Model
 from ..core.errors import ReproError
 from ..core.registry import Registry
-from ..herd.enumerate import Budget
-from ..herd.simulator import simulate_asm, simulate_c
+from ..herd.enumerate import Budget, Enumeration
+from ..herd.simulator import check, simulate_asm
 from ..tools.c2s import compile_and_disassemble
 from ..tools.l2c import prepare as l2c_prepare
 from ..tools.mcompare import mcompare
@@ -155,7 +161,14 @@ class LiftStage(Stage):
 
 
 class SimulateSourceStage(Stage):
-    """herd(S′, M_S): enumerate the source test under the C/C++ model."""
+    """herd(S′, M_S): check the source test's enumeration under the
+    C/C++ model.
+
+    ``enumeration`` hands over the test's model-free half (elaborated
+    with ``unroll``, keeping executions if ``keep_executions``), which
+    the toolchain keeps in its ``enumerate-source`` cache partition and
+    only asks for on a miss of this stage: every later source model of a
+    test is only a check."""
 
     name = "simulate-source"
 
@@ -178,13 +191,11 @@ class SimulateSourceStage(Stage):
         *,
         prepared: PreparedSource,
         model: Union[str, Model],
-        unroll: int = 2,
+        enumeration: Callable[[], Enumeration],
         budget: Optional[Budget] = None,
-        keep_executions: bool = False,
     ):
-        result = simulate_c(
-            prepared.litmus, model, unroll=unroll, budget=budget,
-            keep_executions=keep_executions,
+        result = check(
+            enumeration(), model, name=prepared.litmus.name, budget=budget
         )
         return OutcomeSet(
             key=key,

@@ -229,6 +229,27 @@ class TestStore:
         assert len(recovered) == intact
         assert recovered.skipped == 1
 
+    def test_put_after_a_torn_tail_keeps_every_record(self, tmp_path):
+        """A resumed run's first record must not be glued onto the torn
+        fragment a crashed writer left (and be dropped with it)."""
+        path = tmp_path / "campaign.jsonl"
+
+        def record(digest):
+            return {"digest": digest, "profile": "p", "source_model": "rc11",
+                    "augment": True, "budget_candidates": 10}
+
+        store = CampaignStore(path)
+        store.put(record("a"))
+        store.put(record("b"))
+        with open(path, "r+b") as handle:
+            handle.truncate(path.stat().st_size - 20)
+        resumed = CampaignStore(path)
+        assert (resumed.loaded, resumed.skipped) == (1, 1)
+        resumed.put(record("b"))
+        reopened = CampaignStore(path)
+        assert sorted(r["digest"] for r in reopened.records()) == ["a", "b"]
+        assert (reopened.loaded, reopened.skipped) == (2, 1)
+
     def test_foreign_schema_records_are_skipped(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
         with open(path, "w", encoding="utf-8") as handle:

@@ -31,6 +31,21 @@ class TestExitCodes:
         assert main(["campaign", "--small", "--resume"]) == 2
         assert "--resume needs --store" in capsys.readouterr().err
 
+    def test_campaign_plan_error_is_usage_error(self, capsys):
+        """A plan the engine refuses prints its message and exits 2, as
+        ``farm`` does, instead of escaping as a traceback."""
+        assert main(["campaign", "--small", "--differential",
+                     "llvm-O1-AArch64", "gcc-O1-ARM"]) == 2
+        err = capsys.readouterr().err
+        assert "differential testing requires a common architecture" in err
+        assert "Traceback" not in err
+
+    def test_hunt_plan_error_is_usage_error(self, capsys):
+        assert main(["hunt", "--seeds", "examples", "--operators", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown mutation operator 'nope'" in err
+        assert "Traceback" not in err
+
 
 class TestJsonInventories:
     def test_models_json(self, capsys):

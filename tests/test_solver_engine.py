@@ -7,6 +7,7 @@
 * the campaign's source-simulation and result caches + worker pool.
 """
 
+import pathlib
 import sys
 import time
 
@@ -16,13 +17,17 @@ from repro.cat import build_env, get_model, list_models
 from repro.cat.interp import DYNAMIC_BASE_NAMES, Model
 from repro.cat.stdlib import build_static_env, dynamic_bindings
 from repro.core.errors import SimulationTimeout
+from repro.core.execution import Outcome
 from repro.herd import (
     Budget,
     CoherenceStage,
+    Enumeration,
     EnumerationStats,
     ExecutionEnumerator,
+    check,
     default_stages,
     exhaustive_stages,
+    run_programs,
     simulate_c,
 )
 from repro.lang import parse_c_litmus
@@ -347,3 +352,244 @@ class TestCampaignCaches:
         # a replayed source simulation reports the *original* run's cost,
         # not zero — campaign timing totals must not under-report
         assert second.source_seconds == first.source_seconds > 0.0
+
+
+# --------------------------------------------------------------------- #
+# one enumeration, checked under every model
+# --------------------------------------------------------------------- #
+CORPUS = pathlib.Path(__file__).parent / "corpus" / "suites"
+SOURCE_ORDERS = (("sc", "rc11", "rc11+lb"), ("rc11+lb", "rc11", "sc"))
+COUNTERS = (
+    "path_combinations", "rf_assignments", "candidates", "rejected_value_cycle",
+    "rejected_constraint", "rf_sources_pruned", "rejected_rf_coherence",
+    "pruned_co_prefixes",
+)
+
+#: a registered-style model whose static check fails on every path
+#: combination with a non-init store: it skips combinations the C11
+#: models check, so its work (and its budget use) is smaller
+NO_STORES = Model.from_source(
+    "NOSTORES\nempty W \\ IW as no-stores\nacyclic po | rf | co | fr as sc\n"
+)
+
+LB_CONDITIONAL = """
+C lb_conditional
+{ *x = 0; *y = 0; }
+void P0(atomic_int* x, atomic_int* y) {
+  int r0 = atomic_load_explicit(x, memory_order_relaxed);
+  if ((r0 == 1)) {
+    atomic_store_explicit(y, 1, memory_order_relaxed);
+  }
+}
+void P1(atomic_int* x, atomic_int* y) {
+  int r0 = atomic_load_explicit(y, memory_order_relaxed);
+  if ((r0 == 1)) {
+    atomic_store_explicit(x, 1, memory_order_relaxed);
+  }
+}
+exists (P0:r0=1 /\\ P1:r0=1)
+"""
+
+
+def _one_pass(init, programs, model, budget=None, keep_executions=False):
+    """The reference: enumerate and check in one pass under one budget,
+    a combination skipped as soon as the model's static prefix fails."""
+    compiled = model.compile()
+    stats = EnumerationStats()
+    enumerator = ExecutionEnumerator(init, programs, budget=budget, stats=stats)
+    outcomes, flagged, flags, kept = set(), set(), set(), []
+    enumerator.start()
+    try:
+        for combo in enumerator.path_combos():
+            static = build_static_env(
+                combo.events, combo.po, combo.rmw, combo.addr, combo.data, combo.ctrl
+            )
+            prefix = compiled.run_static(static.env)
+            if not prefix.allowed:
+                continue
+            for candidate in enumerator.candidates_for(combo):
+                execution = candidate.execution
+                verdict = compiled.run_dynamic(
+                    prefix, dynamic_bindings(execution, static, compiled.dynamic_names)
+                )
+                if not verdict.allowed:
+                    continue
+                bindings = dict(execution.final_memory())
+                bindings.update(candidate.finals_dict())
+                outcome = Outcome.of(bindings)
+                outcomes.add(outcome)
+                if verdict.flags:
+                    flags.update(verdict.flags)
+                    flagged.add(outcome)
+                if keep_executions:
+                    kept.append((execution, outcome))
+    finally:
+        enumerator.finish()
+    return outcomes, flags, flagged, stats, kept
+
+
+def _summary(outcomes, flags, flagged, stats):
+    return (
+        frozenset(outcomes), frozenset(flags), frozenset(flagged),
+        {name: getattr(stats, name) for name in COUNTERS},
+    )
+
+
+def _result_summary(result):
+    return _summary(result.outcomes, result.flags, result.flagged_outcomes, result.stats)
+
+
+def _attempt(run):
+    """``run()``'s value, or the (message, count) of its timeout."""
+    try:
+        return run()
+    except SimulationTimeout as exc:
+        return ("timeout", str(exc), exc.candidates_explored)
+
+
+def _execution_view(execution, outcome):
+    return (execution.events, execution.rf, execution.co, execution.fr, outcome)
+
+
+def _source_programs():
+    from repro.toolchain import Toolchain
+    from repro.tools.sources import SuiteSource
+
+    chain = Toolchain()
+    for path in sorted(CORPUS.glob("*.jsonl")):
+        for litmus in SuiteSource(path).iter_tests():
+            prepared = chain.prepare(litmus).litmus
+            yield prepared.name, dict(prepared.init), elaborate(prepared, unroll=2)
+
+
+class TestSharedEnumeration:
+    """``run_programs`` is ``check(Enumeration(...))``: one recorded
+    enumeration checked under several models, in any order, answers
+    exactly as a one-pass run per model would."""
+
+    @pytest.mark.parametrize("order", SOURCE_ORDERS, ids="-then-".join)
+    def test_corpus_checks_match_one_pass_runs(self, order):
+        models = [get_model(name) for name in order]
+        tests = 0
+        for name, init, programs in _source_programs():
+            shared = Enumeration(init, programs, record=True)
+            for model in models:
+                checked = check(shared, model, name=name)
+                expected = _summary(*_one_pass(init, programs, model)[:4])
+                assert _result_summary(checked) == expected, (name, model.name)
+                fresh = run_programs(name, init, programs, model)
+                assert _result_summary(fresh) == expected, (name, model.name)
+                assert checked.test_name == name
+                assert checked.model_name == model.name
+            tests += 1
+        assert tests == 222
+
+    @pytest.mark.parametrize("skipping_first", [True, False])
+    def test_skipped_combinations_are_never_charged(self, skipping_first):
+        litmus = parse_c_litmus(LB_CONDITIONAL)
+        init, programs = dict(litmus.init), elaborate(litmus)
+        models = [get_model(name) for name in ("sc", "rc11", "rc11+lb")]
+        models = [NO_STORES] + models if skipping_first else models + [NO_STORES]
+        shared = Enumeration(init, programs, record=True)
+        assert len(shared.combos) == 4
+        for model in models:
+            checked = check(shared, model, name=litmus.name)
+            assert _result_summary(checked) == _summary(
+                *_one_pass(init, programs, model)[:4]
+            )
+        skipping = check(shared, NO_STORES).stats
+        assert 0 < skipping.candidates < check(shared, "sc").stats.candidates
+
+    @pytest.mark.parametrize("order", SOURCE_ORDERS, ids="-then-".join)
+    def test_budget_timeouts_replay_identically(self, order):
+        """Every budget from 1 up past the whole enumeration: each model
+        times out at the same count with the same message as its one-pass
+        run, or finishes with the same answer, whatever ran before it on
+        the shared enumeration (a combination cut short by a timeout is
+        not kept)."""
+        models = [get_model(name) for name in order] + [NO_STORES]
+        for source in (LB_CONDITIONAL, COWW):
+            litmus = parse_c_litmus(source)
+            init, programs = dict(litmus.init), elaborate(litmus)
+            timeouts = 0
+            for limit in range(1, 40):
+                shared = Enumeration(init, programs, record=True)
+                for model in models:
+                    def one_pass():
+                        return _summary(*_one_pass(
+                            init, programs, model, budget=Budget(max_candidates=limit)
+                        )[:4])
+
+                    def shared_check():
+                        return _result_summary(check(
+                            shared, model, budget=Budget(max_candidates=limit)
+                        ))
+
+                    expected = _attempt(one_pass)
+                    assert _attempt(shared_check) == expected, (litmus.name, limit, model.name)
+                    timeouts += expected[0] == "timeout"
+            assert timeouts > 0
+
+    def test_skipping_model_finishes_where_the_others_time_out(self):
+        litmus = parse_c_litmus(LB_CONDITIONAL)
+        init, programs = dict(litmus.init), elaborate(litmus)
+        need = check(Enumeration(init, programs), NO_STORES).stats
+        limit = need.candidates + need.rejected_value_cycle + need.rejected_constraint
+        shared = Enumeration(init, programs, record=True)
+        with pytest.raises(SimulationTimeout) as first:
+            check(shared, "rc11", budget=Budget(max_candidates=limit))
+        assert first.value.candidates_explored == limit + 1
+        assert check(shared, NO_STORES, budget=Budget(max_candidates=limit)).outcomes
+        with pytest.raises(SimulationTimeout) as again:
+            check(shared, "rc11", budget=Budget(max_candidates=limit))
+        assert str(again.value) == str(first.value)
+
+    def test_combinations_past_the_record_limit_stream(self, monkeypatch):
+        from repro.herd import enumerate as enumerate_module
+
+        monkeypatch.setattr(enumerate_module, "RECORD_LIMIT", 1)
+        litmus = parse_c_litmus(LB_CONDITIONAL)
+        init, programs = dict(litmus.init), elaborate(litmus)
+        shared = Enumeration(init, programs, record=True)
+        for name in ("sc", "rc11", "rc11+lb"):
+            model = get_model(name)
+            expected = _summary(*_one_pass(init, programs, model)[:4])
+            for _ in range(2):
+                assert _result_summary(check(shared, model)) == expected
+        kept = [entry for entry in shared._recorded if entry is not None]
+        assert sum(len(records) for _, _, records in kept) <= 1
+        assert 0 < len(kept) < len(shared.combos)
+
+    @pytest.mark.parametrize("source_fn", [fig7_lb, fig11_lb3])
+    def test_kept_executions_match(self, source_fn):
+        litmus = source_fn()
+        init, programs = dict(litmus.init), elaborate(litmus)
+        shared = Enumeration(init, programs, keep_executions=True, record=True)
+        for name in ("sc", "rc11", "rc11+lb"):
+            model = get_model(name)
+            for _ in range(2):  # the first check expands, the second replays
+                kept = check(shared, model).executions
+                reference = _one_pass(init, programs, model, keep_executions=True)[4]
+                assert [_execution_view(*pair) for pair in kept] == [
+                    _execution_view(*pair) for pair in reference
+                ]
+        assert simulate_c(litmus, "rc11").executions == ()
+
+    def test_toolchain_enumerates_each_source_test_once(self):
+        from repro.compiler import make_profile
+        from repro.toolchain import Toolchain
+        from repro.toolchain.cache import ENUMERATE_SOURCE
+
+        chain = Toolchain()
+        profile = make_profile("llvm", "-O2", "aarch64")
+        litmus = fig7_lb()
+        for model in ("sc", "rc11", "rc11+lb"):
+            result = chain.run_tv(litmus, profile, source_model=model)
+            assert result.source_result.outcomes == simulate_c(
+                chain.prepare(litmus).litmus, model
+            ).outcomes
+        assert chain.cache.misses("simulate-source") == 3
+        assert chain.cache.misses(ENUMERATE_SOURCE) == 1
+        assert chain.cache.hits(ENUMERATE_SOURCE) == 2
+        # not a stage: the per-stage counters leave it out
+        assert ENUMERATE_SOURCE not in chain.cache.stats()
