@@ -1,8 +1,8 @@
 """``repro.api`` — the supported way to drive the system.
 
 * :class:`Session` — owns per-session registries (models, shapes, ISAs,
-  compiler epochs, baselines — as overlays over the shipped globals),
-  caches, budgets and an optional persistent store;
+  compiler epochs, stages, mutations — as overlays over the shipped
+  globals), caches, budgets and an optional persistent store;
 * :class:`CampaignPlan` — the frozen, validated campaign description
   (tv, differential and hunt modes);
 * the typed event stream — :meth:`Session.campaign` yields

@@ -78,7 +78,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..cat.registry import ARCH_MODEL, resolve_model
 from ..compiler.profiles import CompilerProfile
@@ -356,23 +356,32 @@ class _CellContext:
         return record, ran_in_worker or _ran_source(trace), not produced
 
 
-def _lint_tests(tests, what: str = "test") -> None:
+def _lint_tests(tests, clean: Set[str], what: str = "test") -> None:
     """Fail fast on ill-formed litmus tests (a plan's ``lint``, and every
     suite the farm parses).
 
-    Runs :mod:`repro.analysis.litmuslint` over every materialised test;
-    error-severity findings (vacuous conditions, malformed threads)
-    raise a :class:`PlanError` carrying the diagnostics — before any
-    cell is scheduled, so a bad corpus costs nothing but the lint.
+    Runs :mod:`repro.analysis.litmuslint` over every materialised test
+    whose content digest is not in ``clean``, the session's set of tests
+    already linted clean; error-severity findings (vacuous conditions,
+    malformed threads) raise a :class:`PlanError` carrying the
+    diagnostics — before any cell is scheduled, so a bad corpus costs
+    nothing but the lint.  Only a batch with no error findings joins
+    ``clean``: one that raises records nothing, so it is linted in full,
+    and raises, on every plan.
     """
     from ..analysis import Severity, lint_litmus
 
     errors = []
+    linted = set()
     for litmus in tests:
+        digest = litmus.digest()
+        if digest in clean:
+            continue
         errors.extend(
             d for d in lint_litmus(litmus, source_name=litmus.name)
             if d.severity is Severity.ERROR
         )
+        linted.add(digest)
     if errors:
         rendered = "; ".join(d.render() for d in errors[:5])
         more = f" (+{len(errors) - 5} more)" if len(errors) > 5 else ""
@@ -382,6 +391,7 @@ def _lint_tests(tests, what: str = "test") -> None:
         )
         exc.diagnostics = tuple(errors)
         raise exc
+    clean.update(linted)
 
 
 def _check_session_constraints(plan: CampaignPlan, session) -> None:
@@ -578,7 +588,7 @@ def iter_campaign(plan: CampaignPlan, session) -> Iterator[CampaignEvent]:
     if hunt and not tests:
         raise PlanError("a hunt needs at least one seed test")
     if plan.lint:
-        _lint_tests(tests, what="seed" if hunt else "test")
+        _lint_tests(tests, session._linted, what="seed" if hunt else "test")
     ctx = _CellContext(plan, session)
     scheduler = _hunt_scheduler(plan, session, tests) if hunt else None
     store = session.store

@@ -109,7 +109,7 @@ def _suite_tests(
     if cached is not None and cached[0] == digest:
         return cached[1]
     tests = tuple(SuiteSource(path).iter_tests(shapes=session.shapes))
-    _lint_tests(tests)
+    _lint_tests(tests, session._linted)
     first: Dict[str, CLitmus] = {}
     for test in tests:
         twin = first.setdefault(test.digest(), test)

@@ -1,8 +1,8 @@
 """The session: the embeddable, state-owning entry point to the system.
 
 A :class:`Session` owns what used to be process-global mutable state —
-model/shape/ISA/epoch/baseline registries (as per-session overlays over
-the shipped globals), the staged toolchain with its artifact cache, a
+model/shape/ISA/epoch/stage/mutation registries (as per-session overlays
+over the shipped globals), the staged toolchain with its artifact cache, a
 cell memo, a worker process pool, a default budget, and an optional
 persistent :class:`CampaignStore`.  Two sessions never trample each
 other: a service can hold one per tenant, each with private models and
@@ -23,10 +23,9 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Dict, Iterable, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
 from ..asm.isa.base import ISAS, Isa, ensure_registered
-from ..baselines.registry import BASELINES
 from ..cat.interp import Model
 from ..cat.registry import ARCH_MODEL, MODELS, model_signature, resolve_model
 from ..compiler.profiles import (
@@ -84,7 +83,6 @@ class Session:
         self.shapes = SHAPES.overlay()
         self.isas = ISAS.overlay()
         self.epochs = EPOCHS.overlay()
-        self.baselines = BASELINES.overlay()
         self.stages = STAGES.overlay()
         self.mutations = MUTATIONS.overlay()
         #: the session's staged tool-chain: stage resolution through the
@@ -107,6 +105,10 @@ class Session:
         #: the farm's parsed suites: suite path -> (verified digest,
         #: linted tests), one entry per path (see ``repro.api.farm``)
         self._suites: Dict[str, Tuple[str, Tuple[CLitmus, ...]]] = {}
+        #: content digests of the tests this session has linted clean:
+        #: a later plan or suite skips their lint (a batch with error
+        #: findings records nothing, so it raises on every plan)
+        self._linted: Set[str] = set()
         #: the farm's blessed baselines: baseline path -> (file sha256,
         #: canonical row bytes and drift memo), one entry per path
         self._baselines: Dict[str, Tuple[str, BaselineIndex]] = {}
@@ -215,9 +217,6 @@ class Session:
         """
         return self.isas.register(isa.name, isa, **meta)
 
-    def register_baseline(self, name: str, check: Callable, **meta: object) -> Callable:
-        return self.baselines.register(name, check, **meta)
-
     def register_mutation(self, name: str, operator, **meta: object):
         """Register a private mutation operator for this session's hunts.
 
@@ -293,9 +292,6 @@ class Session:
 
     def isa(self, name: str) -> Isa:
         return self.isas.get(name)
-
-    def baseline(self, name: str) -> Callable:
-        return self.baselines.get(name)
 
     def profile(self, spec: Union[str, CompilerProfile, tuple]) -> CompilerProfile:
         """Resolve a profile: a :class:`CompilerProfile` passes through, a

@@ -3,8 +3,8 @@
 Each baseline is a callable taking a C litmus test (plus
 technique-specific keyword arguments) and returning its own result type.
 Registering them makes the comparison harness pluggable: ``mcompare``
-sweeps, the CLI, and sessions can enumerate or overlay baselines by name
-instead of importing each module.
+sweeps and the CLI can enumerate baselines by name instead of importing
+each module.
 """
 
 from __future__ import annotations

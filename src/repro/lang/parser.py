@@ -20,6 +20,7 @@ normalised to ``forall ~P``.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import ParseError
@@ -565,10 +566,30 @@ def _split_explicit(name: str) -> Tuple[str, bool]:
 def parse_c_litmus(source: str, name: str = "test") -> CLitmus:
     """Parse a C litmus test from source text.
 
+    Parsing reads nothing but its two arguments, so each distinct
+    ``(source, name)`` is parsed once per process: a repeat (a suite read
+    again under another model or compiler pair) answers with the first
+    parse's instance, from a memo of at most :data:`PARSE_MEMO_ENTRIES`
+    entries.  The result is shared, so it is read-only: derive a changed
+    test with :func:`dataclasses.replace`, never by assignment.
+
     A :class:`ParseError` raised anywhere in the parse carries the
     offending source line as its snippet (``exc.render()`` shows
-    ``file:line``, plus the line itself).
+    ``file:line``, plus the line itself).  Errors are not memoised: a bad
+    text is parsed, and raises, on every call.
     """
+    return _parse(source, name)
+
+
+#: how many distinct ``(source, name)`` pairs the parse memo keeps; past
+#: it the least recently used go.  An entry is a corpus test's AST (about
+#: 3.4 KB) and its source text (about 0.5 KB), so the memo holds at most
+#: about 4 MB.
+PARSE_MEMO_ENTRIES = 1024
+
+
+@lru_cache(maxsize=PARSE_MEMO_ENTRIES)
+def _parse(source: str, name: str) -> CLitmus:
     try:
         tokens = _expand_defines(_tokenize(source))
         parser = _CParser(tokens)

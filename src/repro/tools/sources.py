@@ -74,11 +74,13 @@ def iter_jsonl(
     """Stream ``(line number, record)`` pairs from a JSONL file.
 
     The shared reader behind :class:`SuiteSource` and the farm's
-    baseline files, with the :class:`~repro.pipeline.store.CampaignStore`
-    crash-tolerance contract: a torn *final* line (a crashed writer's
-    partial append) is silently skipped, while a malformed line anywhere
-    else — invalid JSON or a non-object — raises
-    :class:`SuiteFormatError` naming the file and line.
+    baseline files.  A torn *final* line (a crashed writer's partial
+    append) is silently skipped, while a malformed line anywhere else —
+    invalid JSON or a non-object — raises :class:`SuiteFormatError`
+    naming the file and line.  (The
+    :class:`~repro.pipeline.store.CampaignStore` reads its file with its
+    own loop and a looser contract: it skips, and counts in ``skipped``,
+    a bad line *anywhere*, interior lines included.)
     """
     fspath = os.fspath(path)
     #: a decode failure held back until we know whether it was the file's
@@ -103,7 +105,8 @@ def iter_jsonl(
                 )
             yield lineno, record
     # a pending failure on the final line is a torn trailing write —
-    # ignored, exactly like CampaignStore._load
+    # ignored (CampaignStore._load skips it too, but it also skips a bad
+    # interior line that this reader raises on)
 
 
 class TestSource:
@@ -268,9 +271,11 @@ class SuiteSource(TestSource):
     JSONL of ``{"source": <C litmus text>}`` objects), parsed lazily —
     one test per line, only as the iterator advances.
 
-    Robustness contract (shared with the campaign store): a torn final
-    line is skipped, any other malformed line raises
-    :class:`SuiteFormatError` with the file and line number.
+    Robustness contract (that of :func:`iter_jsonl`): a torn final line
+    is skipped, any other malformed line raises :class:`SuiteFormatError`
+    with the file and line number.  Each distinct test text is parsed
+    once per process (see :func:`~repro.lang.parser.parse_c_litmus`), so
+    a suite read again yields the same, read-only, instances.
     """
 
     def __init__(self, path: Union[str, "os.PathLike[str]"]) -> None:

@@ -831,3 +831,75 @@ class TestSession:
         assert {k: vars(v) for k, v in report.cells.items()} == \
                {k: vars(v) for k, v in cold.cells.items()}
         assert report.positives == cold.positives
+
+
+# --------------------------------------------------------------------------- #
+# the session lint set: one lint per test per session
+# --------------------------------------------------------------------------- #
+BAD_TEST_SOURCE = """C vacuous
+{ x = 0; }
+void P0(atomic_int* x) { atomic_store_explicit(x, 1, memory_order_relaxed); }
+void P1(atomic_int* x) { int r0 = atomic_load_explicit(x, memory_order_relaxed); }
+exists (P1:r9=1)
+"""
+
+
+@pytest.fixture
+def lints(monkeypatch):
+    """How many times ``lint_litmus`` ran."""
+    import repro.analysis
+
+    real = repro.analysis.lint_litmus
+    count = [0]
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(repro.analysis, "lint_litmus", counting)
+    return count
+
+
+class TestLintMemo:
+    ONE_PROFILE = CampaignPlan(config=CONFIG, arches=("aarch64",),
+                               opts=("-O2",), compilers=("llvm",))
+
+    def test_a_session_lints_each_test_once(self, lints):
+        tests = self.ONE_PROFILE.resolve_tests()
+        with Session() as session:
+            first = session.run(self.ONE_PROFILE)
+            assert lints[0] == len(tests) > 0
+            for model in ("sc", "rc11+lb"):
+                session.run(dataclasses.replace(self.ONE_PROFILE,
+                                                source_model=model))
+            again = session.run(self.ONE_PROFILE)
+        assert lints[0] == len(tests)  # the later campaigns linted 0 tests
+        assert again.positives == first.positives
+
+    def test_a_fresh_session_lints_again(self, lints):
+        tests = self.ONE_PROFILE.resolve_tests()
+        for _ in range(2):
+            with Session() as session:
+                session.run(self.ONE_PROFILE)
+        assert lints[0] == 2 * len(tests)
+
+    def test_a_test_with_errors_raises_on_every_campaign(self, lints):
+        from repro.lang.parser import parse_c_litmus
+
+        good = fig1_exchange()
+        bad = parse_c_litmus(BAD_TEST_SOURCE, "vacuous")
+        plan = dataclasses.replace(self.ONE_PROFILE, config=None, tests=(good, bad))
+        with Session() as session:
+            for _ in range(2):
+                with pytest.raises(PlanError, match="failed static analysis") \
+                        as exc_info:
+                    session.campaign(plan)
+                assert [d.code for d in exc_info.value.diagnostics] == \
+                       ["LIT001"]
+            # a batch that raised recorded nothing: both were linted twice
+            assert lints[0] == 4
+            # the clean test alone is linted once more, then never again
+            clean = dataclasses.replace(plan, tests=(good,))
+            session.campaign(clean)
+            session.campaign(clean)
+        assert lints[0] == 5
