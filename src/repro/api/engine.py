@@ -85,7 +85,7 @@ from ..compiler.profiles import CompilerProfile
 from ..core.errors import ModelError, ReproError
 from ..herd.enumerate import Budget
 # perfbench/tracing.py wraps simulate_c and prepare from outside; nothing
-# in src/ calls them (ROADMAP item 3 removes them)
+# in src/ calls them (ROADMAP item 4 removes them)
 from ..herd.simulator import simulate_c  # noqa: F401
 from ..hunt.reduce import ReductionError, reduce_test
 from ..hunt.scheduler import HuntScheduler

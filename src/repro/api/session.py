@@ -1,7 +1,7 @@
 """The session: the embeddable, state-owning entry point to the system.
 
 A :class:`Session` owns what used to be process-global mutable state —
-model/shape/ISA/epoch/stage/mutation registries (as per-session overlays
+model/shape/epoch/stage/mutation registries (as per-session overlays
 over the shipped globals), the staged toolchain with its artifact cache, a
 cell memo, a worker process pool, a default budget, and an optional
 persistent :class:`CampaignStore`.  Two sessions never trample each
@@ -25,7 +25,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
-from ..asm.isa.base import ISAS, Isa, ensure_registered
+from ..asm.isa.base import ISAS, Isa, ensure_registered, get_isa
 from ..cat.interp import Model
 from ..cat.registry import ARCH_MODEL, MODELS, model_signature, resolve_model
 from ..compiler.profiles import (
@@ -81,7 +81,6 @@ class Session:
         ensure_registered()  # ISA registration is an import side effect
         self.models = MODELS.overlay()
         self.shapes = SHAPES.overlay()
-        self.isas = ISAS.overlay()
         self.epochs = EPOCHS.overlay()
         self.stages = STAGES.overlay()
         self.mutations = MUTATIONS.overlay()
@@ -206,17 +205,6 @@ class Session:
         return self.shapes.register(shape.name, shape, display=shape.name,
                                     threads=len(shape.threads), **meta)
 
-    def register_isa(self, isa: Isa, **meta: object) -> Isa:
-        """Register an ISA in this session's overlay.
-
-        Scope note: the overlay currently feeds :meth:`isa` lookups and
-        inventory listings only — the compile/disassemble/s2l tool-chain
-        still resolves architectures through the global registry
-        (threading the overlay through c2s/s2l is future work), so a
-        session-local ISA does not change what :meth:`test` compiles.
-        """
-        return self.isas.register(isa.name, isa, **meta)
-
     def register_mutation(self, name: str, operator, **meta: object):
         """Register a private mutation operator for this session's hunts.
 
@@ -291,7 +279,7 @@ class Session:
         return self.shapes.get(name)
 
     def isa(self, name: str) -> Isa:
-        return self.isas.get(name)
+        return get_isa(name)
 
     def profile(self, spec: Union[str, CompilerProfile, tuple]) -> CompilerProfile:
         """Resolve a profile: a :class:`CompilerProfile` passes through, a

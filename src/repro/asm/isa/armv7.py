@@ -11,26 +11,28 @@ it stands for the MOVW/MOVT pair and does not touch memory.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional
 
-from .aarch64 import _imm, _parse_mem, _split_operands
-from .base import Instruction, Isa, IsaError, Op, register_isa
+from .base import (
+    BRACKET_MEM,
+    CONDS,
+    Instruction,
+    Isa,
+    IsaError,
+    Op,
+    bracket_mem,
+    parse_imm,
+    parse_mem,
+    register_isa,
+    sym_offset,
+    sym_text,
+)
 
 _ALU_PRINT = {
     "add": "add", "sub": "sub", "and": "and", "or": "orr",
     "xor": "eor", "lsl": "lsl", "lsr": "lsr", "mul": "mul",
 }
 _ALU_PARSE = {v: k for k, v in _ALU_PRINT.items()}
-
-_FENCE_PRINT = {
-    frozenset({"DMB.ISH"}): "dmb ish",
-    frozenset({"DMB"}): "dmb sy",
-    frozenset({"DSB"}): "dsb sy",
-    frozenset({"ISB"}): "isb",
-}
-_FENCE_PARSE = {v: k for k, v in _FENCE_PRINT.items()}
-
-_CONDS = ("eq", "ne", "lt", "le", "gt", "ge")
 
 
 class Armv7(Isa):
@@ -41,21 +43,21 @@ class Armv7(Isa):
     value_regs = ("r4", "r5", "r6", "r7", "r8", "r9")
     addr_regs = ("r10", "r11", "r12", "r14")
     param_regs = ("r0", "r1", "r2", "r3")
+    _ret_text = "bx lr"
+    _fences = {
+        frozenset({"DMB.ISH"}): "dmb ish",
+        frozenset({"DMB"}): "dmb sy",
+        frozenset({"DSB"}): "dsb sy",
+        frozenset({"ISB"}): "isb",
+    }
 
     # ------------------------------------------------------------------ #
-    def print_instruction(self, instr: Instruction) -> str:
+    def _print_mnemonic(self, instr: Instruction) -> Optional[str]:
         op = instr.op
-        if op is Op.LABEL:
-            return f"{instr.label}:"
-        if op is Op.NOP:
-            return "nop"
-        if op is Op.RET:
-            return "bx lr"
         if op is Op.MOVI:
             return f"mov {instr.dst}, #{instr.imm}"
         if op is Op.MOVADDR:
-            suffix = f"+{instr.offset}" if instr.offset else ""
-            return f"ldr {instr.dst}, ={instr.symbol}{suffix}"
+            return f"ldr {instr.dst}, ={sym_text(instr)}"
         if op is Op.MOV:
             return f"mov {instr.dst}, {instr.src1}"
         if op is Op.ALU:
@@ -68,93 +70,60 @@ class Armv7(Isa):
             return f"b{instr.cond} {instr.label}"
         if op is Op.B:
             return f"b {instr.label}"
-        if op is Op.FENCE:
-            try:
-                return _FENCE_PRINT[instr.fence_tags]
-            except KeyError:
-                raise IsaError(f"unprintable fence tags {set(instr.fence_tags)}")
         if op is Op.LOAD:
-            return f"ldr {instr.dst}, {_mem(instr)}"
+            return f"ldr {instr.dst}, {bracket_mem(instr)}"
         if op is Op.STORE:
-            return f"str {instr.src1}, {_mem(instr)}"
+            return f"str {instr.src1}, {bracket_mem(instr)}"
         if op is Op.LDX:
-            return f"ldrex {instr.dst}, {_mem(instr)}"
+            return f"ldrex {instr.dst}, {bracket_mem(instr)}"
         if op is Op.STX:
-            return f"strex {instr.status}, {instr.src1}, {_mem(instr)}"
-        raise IsaError(f"cannot print {instr!r} for armv7")
+            return f"strex {instr.status}, {instr.src1}, {bracket_mem(instr)}"
+        return None
 
     # ------------------------------------------------------------------ #
-    def parse_line(self, text: str) -> Instruction:
-        text = text.strip()
-        if text.endswith(":"):
-            return Instruction(op=Op.LABEL, label=text[:-1], text=text)
-        mnem, _, rest = text.partition(" ")
-        mnem = mnem.lower()
-        ops = _split_operands(rest)
-        instr = self._parse_mnemonic(mnem, ops, text)
-        return instr.with_text(text)
-
     def _parse_mnemonic(self, mnem: str, ops: List[str], text: str) -> Instruction:
-        if mnem == "nop":
-            return Instruction(op=Op.NOP)
         if mnem == "bx" and ops and ops[0] == "lr":
             return Instruction(op=Op.RET)
         if mnem == "isb":
-            return Instruction(op=Op.FENCE, fence_tags=frozenset({"ISB"}))
+            return self._barrier(mnem, text)
         if mnem in ("dmb", "dsb"):
-            key = f"{mnem} {ops[0].lower() if ops else 'sy'}"
-            if key not in _FENCE_PARSE:
-                raise IsaError(f"unknown barrier {text!r}")
-            return Instruction(op=Op.FENCE, fence_tags=_FENCE_PARSE[key])
+            return self._barrier(f"{mnem} {ops[0].lower() if ops else 'sy'}", text)
         if mnem == "mov":
             if ops[1].startswith("#"):
-                return Instruction(op=Op.MOVI, dst=ops[0], imm=_imm(ops[1]))
+                return Instruction(op=Op.MOVI, dst=ops[0], imm=parse_imm(ops[1]))
             return Instruction(op=Op.MOV, dst=ops[0], src1=ops[1])
         if mnem == "ldr" and ops[1].startswith("="):
-            symbol, offset = _lit_sym(ops[1][1:])
+            symbol, offset = sym_offset(ops[1][1:])
             return Instruction(op=Op.MOVADDR, dst=ops[0], symbol=symbol, offset=offset)
         if mnem in _ALU_PARSE:
             if ops[2].startswith("#"):
                 return Instruction(op=Op.ALU, dst=ops[0], src1=ops[1],
-                                   imm=_imm(ops[2]), alu_op=_ALU_PARSE[mnem])
+                                   imm=parse_imm(ops[2]), alu_op=_ALU_PARSE[mnem])
             return Instruction(op=Op.ALU, dst=ops[0], src1=ops[1], src2=ops[2],
                                alu_op=_ALU_PARSE[mnem])
         if mnem == "cmp":
             if ops[1].startswith("#"):
-                return Instruction(op=Op.CMP, src1=ops[0], imm=_imm(ops[1]))
+                return Instruction(op=Op.CMP, src1=ops[0], imm=parse_imm(ops[1]))
             return Instruction(op=Op.CMP, src1=ops[0], src2=ops[1])
         if mnem == "b":
             return Instruction(op=Op.B, label=ops[0])
-        if mnem.startswith("b") and mnem[1:] in _CONDS:
+        if mnem.startswith("b") and mnem[1:] in CONDS:
             return Instruction(op=Op.BCOND, cond=mnem[1:], label=ops[0])
         if mnem == "ldr":
-            base, off = _parse_mem(ops[1])
+            base, off = parse_mem(BRACKET_MEM, ops[1])
             return Instruction(op=Op.LOAD, dst=ops[0], addr_reg=base, offset=off)
         if mnem == "str":
-            base, off = _parse_mem(ops[1])
+            base, off = parse_mem(BRACKET_MEM, ops[1])
             return Instruction(op=Op.STORE, src1=ops[0], addr_reg=base, offset=off)
         if mnem == "ldrex":
-            base, off = _parse_mem(ops[1])
+            base, off = parse_mem(BRACKET_MEM, ops[1])
             return Instruction(op=Op.LDX, dst=ops[0], addr_reg=base, offset=off,
                                exclusive=True)
         if mnem == "strex":
-            base, off = _parse_mem(ops[2])
+            base, off = parse_mem(BRACKET_MEM, ops[2])
             return Instruction(op=Op.STX, status=ops[0], src1=ops[1],
                                addr_reg=base, offset=off, exclusive=True)
         raise IsaError(f"unknown armv7 instruction {text!r}")
-
-
-def _mem(instr: Instruction) -> str:
-    if instr.offset:
-        return f"[{instr.addr_reg}, #{instr.offset}]"
-    return f"[{instr.addr_reg}]"
-
-
-def _lit_sym(token: str) -> Tuple[str, int]:
-    if "+" in token:
-        symbol, _, offset = token.partition("+")
-        return symbol.strip(), int(offset, 0)
-    return token.strip(), 0
 
 
 ISA = register_isa(Armv7())

@@ -1,9 +1,17 @@
-"""Architecture-neutral instruction representation.
+"""Architecture-neutral instruction representation and the shared syntax
+skeleton of the per-ISA front-ends.
 
 Every ISA we model (AArch64, Armv7, x86-64, RISC-V, PowerPC, MIPS) lowers
-to the same small operation vocabulary; the per-ISA modules provide
-mnemonic syntax (printing and parsing, for the objdump/s2l round trip) and
-builder helpers used by the compiler back-ends.
+to the same small operation vocabulary.  The compiler back-ends print each
+instruction as objdump text and ``s2l`` parses it back (the paper's Fig. 6
+round trip), so one syntax is read in two directions.  :class:`Isa` holds
+both skeletons: printing handles labels, ``nop``, the ISA's ``ret``
+spelling and its fence table before asking the ISA for the rest; parsing
+strips the line, handles labels and whole-line fences, splits mnemonic
+and operands, and asks the ISA for the mnemonic.  The operand helpers the
+ISAs share (symbol offsets, ``[r, #off]`` and ``off(r)`` memory operands,
+three-operand ALU forms) live here once; each per-ISA module keeps only
+its tables and its own forms.
 
 Memory-ordering attributes live on the instruction (``acquire``,
 ``acquire_pc``, ``release``, ``exclusive``, ``fence_tags``) and are turned
@@ -13,9 +21,10 @@ into event tags by :mod:`repro.asm.semantics`.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
-from typing import FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Pattern, Tuple
 
 from ...core.registry import Registry
 
@@ -184,6 +193,9 @@ class Isa:
     Concrete subclasses (one per modelled architecture) provide mnemonic
     printing and parsing — the objdump / ``s2l`` round trip of the paper's
     Fig. 6 — plus the register conventions the compiler back-ends use.
+    The skeletons here handle what every ISA shares; a subclass sets
+    ``_ret_text`` and ``_fences`` and fills in the two hooks
+    :meth:`_print_mnemonic` and :meth:`_parse_mnemonic`.
     """
 
     #: registry key and the litmus ``arch`` field value.
@@ -197,14 +209,73 @@ class Isa:
     #: registers that carry the (up to 8) pointer arguments, in order.
     param_regs: Tuple[str, ...] = ()
 
+    #: how ``Op.RET`` prints.
+    _ret_text: str = "ret"
+    #: the printed spelling of each fence, by its tags; the parse side
+    #: (``_fence_tags``) is derived from it per subclass.
+    _fences: Dict[FrozenSet[str], str] = {}
+    _fence_tags: Dict[str, FrozenSet[str]] = {}
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fence_tags = {text: tags for tags, text in cls._fences.items()}
+
     # ------------------------------------------------------------------ #
     def print_instruction(self, instr: Instruction) -> str:
         """Render ``instr`` in this architecture's assembly syntax."""
-        raise NotImplementedError
+        op = instr.op
+        if op is Op.LABEL:
+            return f"{instr.label}:"
+        if op is Op.NOP:
+            return "nop"
+        if op is Op.RET:
+            return self._ret_text
+        if op is Op.FENCE:
+            try:
+                return self._fences[instr.fence_tags]
+            except KeyError:
+                raise IsaError(f"unprintable fence tags {set(instr.fence_tags)}")
+        text = self._print_mnemonic(instr)
+        if text is None:
+            raise IsaError(f"cannot print {instr!r} for {self.name}")
+        return text
 
     def parse_line(self, text: str) -> Instruction:
         """Parse one line of this architecture's assembly syntax."""
+        text = text.strip()
+        if text.endswith(":"):
+            return Instruction(op=Op.LABEL, label=text[:-1], text=text)
+        tags = self._fence_tags.get(text.lower())
+        if tags is not None:
+            return Instruction(op=Op.FENCE, fence_tags=tags, text=text)
+        mnem, _, rest = text.partition(" ")
+        mnem = mnem.lower()
+        if mnem == "nop":
+            return Instruction(op=Op.NOP, text=text)
+        return self._parse_operands(mnem, rest, text).with_text(text)
+
+    # ------------------------------------------------------------------ #
+    def _print_mnemonic(self, instr: Instruction) -> Optional[str]:
+        """Hook: the text of any other instruction, or None if the ISA
+        has no form for it."""
         raise NotImplementedError
+
+    def _parse_operands(self, mnem: str, rest: str, text: str) -> Instruction:
+        """Parse ``mnem`` with its operand text ``rest`` (``text`` is the
+        whole line, for error messages).  A hook for the ISAs whose
+        operands are not a plain comma-separated list."""
+        return self._parse_mnemonic(mnem, split_operands(rest), text)
+
+    def _parse_mnemonic(self, mnem: str, ops: List[str], text: str) -> Instruction:
+        """Hook: parse lower-case ``mnem`` with its split operands ``ops``."""
+        raise NotImplementedError
+
+    def _barrier(self, spelling: str, text: str) -> Instruction:
+        """The fence spelled ``spelling`` once its operands are normalised."""
+        tags = self._fence_tags.get(spelling)
+        if tags is None:
+            raise IsaError(f"unknown barrier {text!r}")
+        return Instruction(op=Op.FENCE, fence_tags=tags)
 
     # ------------------------------------------------------------------ #
     def render(self, instr: Instruction) -> Instruction:
@@ -226,6 +297,102 @@ class Isa:
             if instr is not None:
                 out.append(instr)
         return out
+
+
+# ---------------------------------------------------------------------- #
+# operand helpers shared by the per-ISA modules
+# ---------------------------------------------------------------------- #
+def split_operands(rest: str) -> List[str]:
+    """Split operands at top-level commas, keeping ``[x8, #4]`` together."""
+    ops: List[str] = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(rest):
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            ops.append(rest[start:i].strip())
+            start = i + 1
+    last = rest[start:].strip()
+    if last:
+        ops.append(last)
+    return ops
+
+
+def parse_imm(token: str) -> int:
+    """An immediate, ``#``-prefixed (Arm) or not."""
+    return int(token.lstrip("#"), 0)
+
+
+def sym_offset(token: str) -> Tuple[str, int]:
+    """``sym`` or ``sym+off`` as ``(symbol, offset)``."""
+    if "+" in token:
+        symbol, _, offset = token.partition("+")
+        return symbol.strip(), int(offset, 0)
+    return token.strip(), 0
+
+
+def sym_text(instr: Instruction) -> str:
+    """The inverse of :func:`sym_offset` for a ``MOVADDR``."""
+    return f"{instr.symbol}+{instr.offset}" if instr.offset else f"{instr.symbol}"
+
+
+def parse_mem(regex: "Pattern[str]", token: str) -> Tuple[str, int]:
+    """The base register and offset of a memory operand ``regex`` (with
+    groups ``base`` and ``off``) matches whole."""
+    match = regex.fullmatch(token.strip())
+    if not match:
+        raise IsaError(f"bad memory operand {token!r}")
+    return match.group("base"), int(match.group("off") or 0)
+
+
+#: an Arm memory operand, ``[r]`` or ``[r, #off]``, for :func:`parse_mem`.
+BRACKET_MEM = re.compile(r"\[\s*(?P<base>\w+)\s*(?:,\s*#(?P<off>-?\d+)\s*)?\]")
+
+
+def bracket_mem(instr: Instruction) -> str:
+    """An access's address as ``[r]`` or ``[r, #off]`` (Arm)."""
+    if instr.offset:
+        return f"[{instr.addr_reg}, #{instr.offset}]"
+    return f"[{instr.addr_reg}]"
+
+
+def paren_mem(instr: Instruction) -> str:
+    """An access's address as ``off(r)`` (MIPS, PowerPC, RISC-V)."""
+    return f"{instr.offset or 0}({instr.addr_reg})"
+
+
+def print_alu(
+    instr: Instruction, names: Dict[str, str], imm_names: Dict[str, str], no_imm: str
+) -> str:
+    """A three-operand ALU instruction, ``rd, rs1, rs2`` or ``rd, rs1, imm``.
+
+    There is no subtract-immediate: ``sub`` prints as the add-immediate of
+    the negated value, as assemblers conventionally accept.  An operation
+    without an immediate form raises ``no_imm`` (formatted with it)."""
+    if instr.src2 is not None:
+        return f"{names[instr.alu_op]} {instr.dst}, {instr.src1}, {instr.src2}"
+    if instr.alu_op == "sub":
+        return f"{imm_names['add']} {instr.dst}, {instr.src1}, {-(instr.imm or 0)}"
+    if instr.alu_op not in imm_names:
+        raise IsaError(no_imm.format(instr.alu_op))
+    return f"{imm_names[instr.alu_op]} {instr.dst}, {instr.src1}, {instr.imm}"
+
+
+def parse_alu(
+    mnem: str, ops: List[str], names: Dict[str, str], imm_names: Dict[str, str]
+) -> Optional[Instruction]:
+    """Parse what :func:`print_alu` prints (``names`` and ``imm_names``
+    map mnemonics to ALU ops), or None for another mnemonic."""
+    if mnem in imm_names:
+        return Instruction(op=Op.ALU, dst=ops[0], src1=ops[1],
+                           imm=int(ops[2], 0), alu_op=imm_names[mnem])
+    if mnem in names:
+        return Instruction(op=Op.ALU, dst=ops[0], src1=ops[1], src2=ops[2],
+                           alu_op=names[mnem])
+    return None
 
 
 #: how many distinct lines (and instructions) the parse and render memos

@@ -9,9 +9,21 @@ cross-architecture ``A``/``L`` event tags consumed by
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from .base import Instruction, Isa, IsaError, Op, register_isa
+from .base import (
+    Instruction,
+    Isa,
+    IsaError,
+    Op,
+    paren_mem,
+    parse_alu,
+    parse_mem,
+    print_alu,
+    register_isa,
+    sym_offset,
+    sym_text,
+)
 
 _MEM_RE = re.compile(r"(?P<off>-?\d+)?\(\s*(?P<base>[\w$]+)\s*\)")
 
@@ -24,28 +36,12 @@ _ALU_IMM = {"add": "addi", "and": "andi", "or": "ori", "xor": "xori",
             "lsl": "slli", "lsr": "srli"}
 _ALU_IMM_PARSE = {v: k for k, v in _ALU_IMM.items()}
 
-_FENCE_PRINT = {
-    frozenset({"FENCE.RW.RW"}): "fence rw,rw",
-    frozenset({"FENCE.R.RW"}): "fence r,rw",
-    frozenset({"FENCE.RW.W"}): "fence rw,w",
-    frozenset({"FENCE.W.W"}): "fence w,w",
-    frozenset({"FENCE.R.R"}): "fence r,r",
-    frozenset({"FENCE.TSO"}): "fence.tso",
-}
-_FENCE_PARSE = {v: k for k, v in _FENCE_PRINT.items()}
-
 _BRANCH_PRINT = {"eq": "beq", "ne": "bne", "lt": "blt", "ge": "bge"}
 _BRANCH_PARSE = {v: k for k, v in _BRANCH_PRINT.items()}
 
 _AMO_NAMES = {"add": "amoadd", "or": "amoor", "and": "amoand",
               "xor": "amoxor", "swap": "amoswap"}
 _AMO_PARSE = {v: k for k, v in _AMO_NAMES.items()}
-
-
-def _mem(instr: Instruction) -> str:
-    if instr.offset:
-        return f"{instr.offset}({instr.addr_reg})"
-    return f"0({instr.addr_reg})"
 
 
 def _ordering_suffix(instr: Instruction) -> str:
@@ -66,36 +62,30 @@ class RiscV(Isa):
     value_regs = ("a5", "a6", "a7", "t0", "t1", "t2", "t3")
     addr_regs = ("a0", "a1", "a2", "a3")
     param_regs = ("a0", "a1", "a2", "a3")
+    _fences = {
+        frozenset({"FENCE.RW.RW"}): "fence rw,rw",
+        frozenset({"FENCE.R.RW"}): "fence r,rw",
+        frozenset({"FENCE.RW.W"}): "fence rw,w",
+        frozenset({"FENCE.W.W"}): "fence w,w",
+        frozenset({"FENCE.R.R"}): "fence r,r",
+        frozenset({"FENCE.TSO"}): "fence.tso",
+    }
 
     # ------------------------------------------------------------------ #
-    def print_instruction(self, instr: Instruction) -> str:
+    def _print_mnemonic(self, instr: Instruction) -> Optional[str]:
         op = instr.op
-        if op is Op.LABEL:
-            return f"{instr.label}:"
-        if op is Op.NOP:
-            return "nop"
-        if op is Op.RET:
-            return "ret"
         if op is Op.MOVI:
             return f"li {instr.dst}, {instr.imm}"
         if op is Op.MOVADDR:
-            suffix = f"+{instr.offset}" if instr.offset else ""
-            return f"la {instr.dst}, {instr.symbol}{suffix}"
+            return f"la {instr.dst}, {sym_text(instr)}"
         if op is Op.MOV:
             return f"mv {instr.dst}, {instr.src1}"
         if op is Op.ALU:
-            if instr.src2 is None:
-                if instr.alu_op == "sub":
-                    # RISC-V has no subi: addi with the negated immediate
-                    return f"addi {instr.dst}, {instr.src1}, {-(instr.imm or 0)}"
-                if instr.alu_op not in _ALU_IMM:
-                    raise IsaError(f"riscv {instr.alu_op} has no immediate form")
-                return f"{_ALU_IMM[instr.alu_op]} {instr.dst}, {instr.src1}, {instr.imm}"
-            return f"{_ALU_PRINT[instr.alu_op]} {instr.dst}, {instr.src1}, {instr.src2}"
+            return print_alu(instr, _ALU_PRINT, _ALU_IMM, "riscv {} has no immediate form")
         if op is Op.BCOND:
             if instr.cond not in _BRANCH_PRINT:
                 raise IsaError(f"riscv has no b{instr.cond}; negate the condition")
-            rhs = instr.src2 or "zero"
+            rhs = instr.src2 or self.zero_reg
             return f"{_BRANCH_PRINT[instr.cond]} {instr.src1}, {rhs}, {instr.label}"
         if op is Op.CBZ:
             return f"beqz {instr.src1}, {instr.label}"
@@ -103,21 +93,16 @@ class RiscV(Isa):
             return f"bnez {instr.src1}, {instr.label}"
         if op is Op.B:
             return f"j {instr.label}"
-        if op is Op.FENCE:
-            try:
-                return _FENCE_PRINT[instr.fence_tags]
-            except KeyError:
-                raise IsaError(f"unprintable fence tags {set(instr.fence_tags)}")
         if op is Op.LOAD:
             mnem = "ld" if instr.width == 64 else "lw"
-            return f"{mnem} {instr.dst}, {_mem(instr)}"
+            return f"{mnem} {instr.dst}, {paren_mem(instr)}"
         if op is Op.STORE:
             mnem = "sd" if instr.width == 64 else "sw"
-            return f"{mnem} {instr.src1}, {_mem(instr)}"
+            return f"{mnem} {instr.src1}, {paren_mem(instr)}"
         if op is Op.AMO:
             size = ".d" if instr.width == 64 else ".w"
             name = _AMO_NAMES[instr.amo_kind]
-            dst = instr.dst or "zero"
+            dst = instr.dst or self.zero_reg
             return (
                 f"{name}{size}{_ordering_suffix(instr)} "
                 f"{dst}, {instr.src1}, ({instr.addr_reg})"
@@ -131,35 +116,24 @@ class RiscV(Isa):
                 f"sc{size}{_ordering_suffix(instr)} "
                 f"{instr.status}, {instr.src1}, ({instr.addr_reg})"
             )
-        raise IsaError(f"cannot print {instr!r} for riscv64")
+        return None
 
     # ------------------------------------------------------------------ #
-    def parse_line(self, text: str) -> Instruction:
-        text = text.strip()
-        if text.endswith(":"):
-            return Instruction(op=Op.LABEL, label=text[:-1], text=text)
-        if text.lower() in _FENCE_PARSE:
-            return Instruction(op=Op.FENCE, fence_tags=_FENCE_PARSE[text.lower()],
-                               text=text)
-        mnem, _, rest = text.partition(" ")
-        mnem = mnem.lower()
-        if mnem == "fence":
-            key = f"fence {rest.replace(' ', '')}"
-            if key not in _FENCE_PARSE:
+    def _parse_operands(self, mnem: str, rest: str, text: str) -> Instruction:
+        if mnem == "fence":  # ``fence rw, w`` spells ``fence rw,w``
+            tags = self._fence_tags.get(f"fence {rest.replace(' ', '')}")
+            if tags is None:
                 raise IsaError(f"unknown fence {text!r}")
-            return Instruction(op=Op.FENCE, fence_tags=_FENCE_PARSE[key], text=text)
-        ops = [o.strip() for o in rest.split(",")] if rest else []
-        return self._parse_mnemonic(mnem, ops, text).with_text(text)
+            return Instruction(op=Op.FENCE, fence_tags=tags)
+        return super()._parse_operands(mnem, rest, text)
 
     def _parse_mnemonic(self, mnem: str, ops: List[str], text: str) -> Instruction:
-        if mnem == "nop":
-            return Instruction(op=Op.NOP)
         if mnem == "ret":
             return Instruction(op=Op.RET)
         if mnem == "li":
             return Instruction(op=Op.MOVI, dst=ops[0], imm=int(ops[1], 0))
         if mnem == "la":
-            symbol, offset = _sym_offset(ops[1])
+            symbol, offset = sym_offset(ops[1])
             return Instruction(op=Op.MOVADDR, dst=ops[0], symbol=symbol, offset=offset)
         if mnem == "mv":
             return Instruction(op=Op.MOV, dst=ops[0], src1=ops[1])
@@ -172,37 +146,34 @@ class RiscV(Isa):
         if mnem in _BRANCH_PARSE:
             return Instruction(op=Op.BCOND, cond=_BRANCH_PARSE[mnem],
                                src1=ops[0], src2=ops[1], label=ops[2])
-        if mnem in _ALU_IMM_PARSE:
-            return Instruction(op=Op.ALU, dst=ops[0], src1=ops[1],
-                               imm=int(ops[2], 0), alu_op=_ALU_IMM_PARSE[mnem])
-        if mnem in _ALU_PARSE:
-            return Instruction(op=Op.ALU, dst=ops[0], src1=ops[1], src2=ops[2],
-                               alu_op=_ALU_PARSE[mnem])
+        alu = parse_alu(mnem, ops, _ALU_PARSE, _ALU_IMM_PARSE)
+        if alu is not None:
+            return alu
         if mnem in ("lw", "ld"):
-            base, off = _parse_mem(ops[1])
+            base, off = parse_mem(_MEM_RE, ops[1])
             return Instruction(op=Op.LOAD, dst=ops[0], addr_reg=base, offset=off,
                                width=64 if mnem == "ld" else 32)
         if mnem in ("sw", "sd"):
-            base, off = _parse_mem(ops[1])
+            base, off = parse_mem(_MEM_RE, ops[1])
             return Instruction(op=Op.STORE, src1=ops[0], addr_reg=base, offset=off,
                                width=64 if mnem == "sd" else 32)
         parts = mnem.split(".")
         if parts[0] in _AMO_PARSE and len(parts) >= 2:
-            base, off = _parse_mem(ops[2])
+            base, off = parse_mem(_MEM_RE, ops[2])
             acq, rel = _parse_ordering(parts[2:])
             return Instruction(op=Op.AMO, amo_kind=_AMO_PARSE[parts[0]],
-                               dst=None if ops[0] == "zero" else ops[0],
+                               dst=None if ops[0] == self.zero_reg else ops[0],
                                src1=ops[1], addr_reg=base, offset=off,
                                acquire=acq, release=rel, exclusive=True,
                                width=64 if parts[1] == "d" else 32)
         if parts[0] == "lr" and len(parts) >= 2:
-            base, off = _parse_mem(ops[1])
+            base, off = parse_mem(_MEM_RE, ops[1])
             acq, rel = _parse_ordering(parts[2:])
             return Instruction(op=Op.LDX, dst=ops[0], addr_reg=base, offset=off,
                                acquire=acq, release=rel, exclusive=True,
                                width=64 if parts[1] == "d" else 32)
         if parts[0] == "sc" and len(parts) >= 2:
-            base, off = _parse_mem(ops[2])
+            base, off = parse_mem(_MEM_RE, ops[2])
             acq, rel = _parse_ordering(parts[2:])
             # RISC-V sc writes 0 to rd on success (the default convention)
             return Instruction(op=Op.STX, status=ops[0], src1=ops[1],
@@ -212,25 +183,11 @@ class RiscV(Isa):
         raise IsaError(f"unknown riscv instruction {text!r}")
 
 
-def _parse_mem(token: str) -> Tuple[str, int]:
-    match = _MEM_RE.fullmatch(token.strip())
-    if not match:
-        raise IsaError(f"bad memory operand {token!r}")
-    return match.group("base"), int(match.group("off") or 0)
-
-
 def _parse_ordering(parts: List[str]) -> Tuple[bool, bool]:
     if not parts:
         return False, False
     tag = parts[0]
     return "aq" in tag, "rl" in tag
-
-
-def _sym_offset(token: str) -> Tuple[str, int]:
-    if "+" in token:
-        symbol, _, offset = token.partition("+")
-        return symbol.strip(), int(offset, 0)
-    return token.strip(), 0
 
 
 ISA = register_isa(RiscV())

@@ -9,12 +9,21 @@ which the TSO Cat model treats as a full fence.
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from .base import Instruction, Isa, IsaError, Op, register_isa
+from .base import (
+    Instruction,
+    Isa,
+    IsaError,
+    Op,
+    parse_mem,
+    register_isa,
+    split_operands,
+    sym_text,
+)
 
 _MEM_RE = re.compile(
-    r"(?:(?P<width>byte|word|dword|qword)\s+ptr\s+)?"
+    r"(?:(?:byte|word|dword|qword)\s+ptr\s+)?"
     r"\[\s*(?P<base>\w+)\s*(?:\+\s*(?P<off>\d+)\s*)?\]",
     re.IGNORECASE,
 )
@@ -52,21 +61,15 @@ class X86(Isa):
     value_regs = ("eax", "ecx", "edx", "r10d", "r11d", "ebx")
     addr_regs = ("r8", "r9", "r12", "r13")
     param_regs = ("rdi", "rsi", "rdx", "rcx")
+    _fences = {frozenset({"MFENCE"}): "mfence"}
 
     # ------------------------------------------------------------------ #
-    def print_instruction(self, instr: Instruction) -> str:
+    def _print_mnemonic(self, instr: Instruction) -> Optional[str]:
         op = instr.op
-        if op is Op.LABEL:
-            return f"{instr.label}:"
-        if op is Op.NOP:
-            return "nop"
-        if op is Op.RET:
-            return "ret"
         if op is Op.MOVI:
             return f"mov {instr.dst}, {instr.imm}"
         if op is Op.MOVADDR:
-            suffix = f"+{instr.offset}" if instr.offset else ""
-            return f"lea {instr.dst}, [rip+{instr.symbol}{suffix}]"
+            return f"lea {instr.dst}, [rip+{sym_text(instr)}]"
         if op is Op.MOV:
             return f"mov {instr.dst}, {instr.src1}"
         if op is Op.ALU:
@@ -80,10 +83,6 @@ class X86(Isa):
             return f"{_JCC_PRINT[instr.cond]} {instr.label}"
         if op is Op.B:
             return f"jmp {instr.label}"
-        if op is Op.FENCE:
-            if instr.fence_tags == frozenset({"MFENCE"}):
-                return "mfence"
-            raise IsaError(f"unprintable fence tags {set(instr.fence_tags)}")
         if op is Op.LOAD:
             return f"mov {instr.dst}, {_mem(instr)}"
         if op is Op.STORE:
@@ -91,7 +90,7 @@ class X86(Isa):
             return f"mov {_mem(instr)}, {src}"
         if op is Op.AMO:
             return self._print_amo(instr)
-        raise IsaError(f"cannot print {instr!r} for x86_64")
+        return None
 
     def _print_amo(self, instr: Instruction) -> str:
         if instr.amo_kind == "swap":
@@ -107,25 +106,16 @@ class X86(Isa):
         )
 
     # ------------------------------------------------------------------ #
-    def parse_line(self, text: str) -> Instruction:
-        text = text.strip()
-        if text.endswith(":"):
-            return Instruction(op=Op.LABEL, label=text[:-1], text=text)
-        lowered = text.lower()
-        if lowered.startswith("lock "):
-            return self._parse_locked(text[5:].strip()).with_text(text)
-        mnem, _, rest = text.partition(" ")
-        mnem = mnem.lower()
-        ops = _split(rest)
-        return self._parse_mnemonic(mnem, ops, text).with_text(text)
+    def _parse_operands(self, mnem: str, rest: str, text: str) -> Instruction:
+        if mnem == "lock" and rest:
+            return self._parse_locked(rest.strip())
+        return super()._parse_operands(mnem, rest, text)
 
     def _parse_mnemonic(self, mnem: str, ops: List[str], text: str) -> Instruction:
-        if mnem == "nop":
-            return Instruction(op=Op.NOP)
         if mnem == "ret":
             return Instruction(op=Op.RET)
         if mnem == "mfence":
-            return Instruction(op=Op.FENCE, fence_tags=frozenset({"MFENCE"}))
+            return self._barrier(mnem, text)
         if mnem == "jmp":
             return Instruction(op=Op.B, label=ops[0])
         if mnem in _JCC_PARSE:
@@ -172,7 +162,7 @@ class X86(Isa):
     def _parse_locked(self, rest: str) -> Instruction:
         mnem, _, operands = rest.partition(" ")
         mnem = mnem.lower()
-        ops = _split(operands)
+        ops = split_operands(operands)
         if mnem == "xadd":
             width, base, off = _parse_mem(ops[0])
             return Instruction(op=Op.AMO, amo_kind="add", dst=ops[1], src1=ops[1],
@@ -190,31 +180,10 @@ class X86(Isa):
         raise IsaError(f"unknown locked instruction {rest!r}")
 
 
-def _split(rest: str) -> List[str]:
-    ops: List[str] = []
-    depth = 0
-    current = ""
-    for ch in rest:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            ops.append(current.strip())
-            current = ""
-        else:
-            current += ch
-    if current.strip():
-        ops.append(current.strip())
-    return ops
-
-
 def _parse_mem(token: str) -> Tuple[int, str, int]:
-    match = _MEM_RE.fullmatch(token.strip())
-    if not match:
-        raise IsaError(f"bad memory operand {token!r}")
-    width = _NAME_WIDTH.get((match.group("width") or "dword").lower(), 32)
-    return width, match.group("base"), int(match.group("off") or 0)
+    base, off = parse_mem(_MEM_RE, token)
+    # a matched operand opens with its width name, or with "[" for none
+    return _NAME_WIDTH.get(token.split(None, 1)[0].lower(), 32), base, off
 
 
 ISA = register_isa(X86())

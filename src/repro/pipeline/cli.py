@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterable, Iterator, List, Optional
 
@@ -343,14 +344,20 @@ def _cmd_farm_bless(args: argparse.Namespace) -> int:
 
 
 def _cmd_farm_diff(args: argparse.Namespace) -> int:
-    """Offline drift diff between two baseline/store JSONL files."""
+    """Offline drift diff between two baseline/store JSONL files.
+
+    The blessed side is read strictly.  The current side may be a
+    resumed store, so it is read as the store reads itself: a torn line
+    anywhere is skipped and the last write per cell wins (a baseline
+    carries the store's key fields, so this reads either kind)."""
     from ..tools.mcompare import diff_baselines
     from ..tools.sources import SuiteFormatError
     from .farm import read_baseline
 
     try:
         blessed = read_baseline(args.blessed)
-        current = read_baseline(args.current)
+        os.stat(args.current)  # a missing file is an error, not an empty store
+        current = CampaignStore(args.current).records()
     except (OSError, SuiteFormatError) as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -666,6 +666,26 @@ class TestFarmCli:
         assert main(["farm", "diff", str(a), str(b)]) == 1
         assert "new-positive" in capsys.readouterr().out
 
+    def test_offline_diff_reads_a_resumed_store(self, tmp_path, capsys):
+        """A store cut mid-line by a crash and then resumed has a torn
+        interior line; the current side skips it and keeps the last
+        write per cell, the blessed side stays strict."""
+        a = tmp_path / "a.jsonl"
+        b = tmp_path / "b.jsonl"
+        campaign = ["campaign", "--small", "--arch", "aarch64", "--opt=-O2"]
+        assert main(campaign + ["--store", str(a)]) == 0
+        b.write_bytes(a.read_bytes()[:-20])
+        assert main(campaign + ["--store", str(b), "--resume"]) == 0
+        lines = b.read_text().splitlines()
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(lines[-2])  # the torn line is now an interior one
+        capsys.readouterr()
+        assert main(["farm", "diff", str(a), str(b)]) == 0
+        assert "no drift" in capsys.readouterr().out
+        assert main(["farm", "diff", str(b), str(a)]) == 2
+        assert f"{b}:{len(lines) - 1}: invalid JSON" in capsys.readouterr().err
+        assert main(["farm", "diff", str(a), str(tmp_path / "none.jsonl")]) == 2
+
     def test_gen_declares_unblessed_baselines(self, tmp_path, capsys):
         # 'farm gen' itself, on a corpus small enough for a test: reuse
         # the default profiles but confirm the manifest lands and names
