@@ -28,14 +28,20 @@ but the most negative ones in Table IV.
 
 from __future__ import annotations
 
-from typing import Dict, List, Type
+from typing import Dict, List, Optional, Type
 
-from ..asm.isa.base import Instruction, Op, get_isa
+from ..asm.isa.base import Instruction, Isa, Op, get_isa
 from ..core.errors import CompilationError
 from ..core.events import MemoryOrder
 from . import bugs
-from .codegen import CompiledThread, CompiledUnit, _ThreadCodegen
-from .ir import IRInstr, IRProgram
+from .codegen import (
+    NO_FENCES,
+    CompiledThread,
+    CompiledUnit,
+    _ThreadCodegen,
+    by_order,
+)
+from .ir import IRFunction, IRInstr, IRProgram
 from .passes import optimise
 from .profiles import CompilerProfile
 
@@ -46,35 +52,14 @@ from .profiles import CompilerProfile
 class AArch64Codegen(_ThreadCodegen):
     """Armv8 AArch64 back-end (LSE and exclusive-loop variants)."""
 
-    def emit_fence(self, order: MemoryOrder) -> None:
-        if order is MemoryOrder.ACQ:
-            self._fence("DMB.LD")
-        else:
-            self._fence("DMB.SY")
+    fences = {**by_order("DMB.SY"), MemoryOrder.ACQ: "DMB.LD"}
+    tagged = zero_branch = True
 
-    def emit_load(self, instr: IRInstr, index: int) -> None:
-        if instr.width == 128:
-            self._emit_load_128(instr)
-            return
-        addr = self.addr_of(instr.loc)
-        dst = self.def_reg(instr.dst)
-        acquire = instr.order.at_least_acquire
-        use_ldapr = acquire and self.profile.rcpc and not instr.order.is_seq_cst
-        self.emit(Instruction(
-            op=Op.LOAD, dst=dst, addr_reg=addr,
-            acquire=acquire and not use_ldapr, acquire_pc=use_ldapr,
-            width=instr.width,
-        ))
-        self.store_def(instr.dst, dst)
-
-    def _emit_load_128(self, instr: IRInstr) -> None:
+    def load_128(self, instr: IRInstr) -> None:
         addr = self.addr_of(instr.loc)
         lo = self.def_reg(instr.dst)
         hi = self.def_reg(None if instr.dst is None else f"{instr.dst}.hi")
-        use_pair = self.profile.v84 and not self.profile.has_bug(
-            bugs.ATOMIC_128_VIA_LOOP
-        )
-        if use_pair:
+        if self._pair_128():
             # v8.4 LSE2: an aligned LDP is single-copy atomic [56]; but a
             # bare LDP has NO ordering — the seq_cst bug [37]: it may
             # reorder before a prior RMW's store.  The fix adds
@@ -90,32 +75,19 @@ class AArch64Codegen(_ThreadCodegen):
         else:
             # pre-v8.4 (or the unfixed v8.4 path [36]): an exclusive-pair
             # loop — which *writes back*, crashing on const data
-            retry = self.fresh_label("ld128")
             status = self.def_reg(None)
-            self.emit(Instruction(op=Op.LABEL, label=retry))
-            self.emit(Instruction(
-                op=Op.LDX, dst=lo, dst2=hi, addr_reg=addr, width=128,
-                acquire=instr.order.at_least_acquire, exclusive=True,
-            ))
-            self.emit(Instruction(
-                op=Op.STX, status=status, src1=lo, src2=hi, addr_reg=addr,
-                width=128, exclusive=True,
-            ))
-            self.emit(Instruction(op=Op.CBNZ, src1=status, label=retry))
+            self.llsc_loop(
+                "ld128",
+                Instruction(op=Op.LDX, dst=lo, dst2=hi, addr_reg=addr,
+                            width=128, exclusive=True,
+                            acquire=instr.order.at_least_acquire),
+                [],
+                Instruction(op=Op.STX, status=status, src1=lo, src2=hi,
+                            addr_reg=addr, width=128, exclusive=True),
+            )
         self.store_def(instr.dst, lo)
 
-    def emit_store(self, instr: IRInstr) -> None:
-        if instr.width == 128:
-            self._emit_store_128(instr)
-            return
-        value = self.use_reg(instr.a)  # type: ignore[arg-type]
-        addr = self.addr_of(instr.loc)
-        self.emit(Instruction(
-            op=Op.STORE, src1=value, addr_reg=addr,
-            release=instr.order.at_least_release, width=instr.width,
-        ))
-
-    def _emit_store_128(self, instr: IRInstr) -> None:
+    def store_128(self, instr: IRInstr) -> None:
         lo = self.use_reg(instr.a)  # type: ignore[arg-type]
         hi = self.def_reg(None)
         self.emit(Instruction(op=Op.MOVI, dst=hi, imm=0))
@@ -124,10 +96,7 @@ class AArch64Codegen(_ThreadCodegen):
         first, second = (
             (hi, lo) if self.profile.has_bug(bugs.STP_WRONG_ENDIAN) else (lo, hi)
         )
-        use_pair = self.profile.v84 and not self.profile.has_bug(
-            bugs.ATOMIC_128_VIA_LOOP
-        )
-        if use_pair:
+        if self._pair_128():
             if instr.order.at_least_release:
                 self._fence("DMB.SY")
             self.emit(Instruction(op=Op.STOREPAIR, src1=first, src2=second,
@@ -135,32 +104,33 @@ class AArch64Codegen(_ThreadCodegen):
             if instr.order.is_seq_cst:
                 self._fence("DMB.SY")
         else:
-            retry = self.fresh_label("st128")
             status = self.def_reg(None)
-            self.emit(Instruction(op=Op.LABEL, label=retry))
-            self.emit(Instruction(op=Op.LDX, dst=self.isa.zero_reg,
-                                  dst2=self.isa.zero_reg, addr_reg=addr,
-                                  width=128, exclusive=True))
-            self.emit(Instruction(
-                op=Op.STX, status=status, src1=first, src2=second,
-                addr_reg=addr, width=128, exclusive=True,
-                release=instr.order.at_least_release,
-            ))
-            self.emit(Instruction(op=Op.CBNZ, src1=status, label=retry))
+            zero = self.isa.zero_reg
+            self.llsc_loop(
+                "st128",
+                Instruction(op=Op.LDX, dst=zero, dst2=zero, addr_reg=addr,
+                            width=128, exclusive=True),
+                [],
+                Instruction(op=Op.STX, status=status, src1=first, src2=second,
+                            addr_reg=addr, width=128, exclusive=True,
+                            release=instr.order.at_least_release),
+            )
+
+    def _pair_128(self) -> bool:
+        """Single-copy-atomic LDP/STP (v8.4), unless the compiler keeps
+        the exclusive-pair loop."""
+        return self.profile.v84 and not self.profile.has_bug(
+            bugs.ATOMIC_128_VIA_LOOP
+        )
 
     def emit_rmw(self, instr: IRInstr, index: int) -> None:
-        if self.profile.lse:
-            self._emit_rmw_lse(instr, index)
-        else:
-            self._emit_rmw_loop(instr)
-
-    def _emit_rmw_lse(self, instr: IRInstr, index: int) -> None:
+        if not self.profile.lse:
+            super().emit_rmw(instr, index)
+            return
         operand = self.use_reg(instr.a)  # type: ignore[arg-type]
         addr = self.addr_of(instr.loc)
-        acquire = instr.order.at_least_acquire
-        release = instr.order.at_least_release
-        result_unused = instr.dst is None
-        if result_unused:
+        use_st_form = False
+        if instr.dst is None:
             if instr.rmw_kind == "swap":
                 buggy = self.profile.has_bug(bugs.XCHG_DROP_READ)
             else:
@@ -173,50 +143,15 @@ class AArch64Codegen(_ThreadCodegen):
                 and not self.acquire_context_follows(index)
             )
             use_st_form = buggy or sound
-        else:
-            use_st_form = False
-        if use_st_form:
-            # ST<OP> / SWP-with-XZR: the read half becomes NORET
-            self.emit(Instruction(
-                op=Op.AMO, amo_kind=instr.rmw_kind, src1=operand, dst=None,
-                addr_reg=addr, acquire=False, release=release,
-                width=instr.width,
-            ))
-            return
-        dst = self.def_reg(instr.dst)
+        # ST<OP> / SWP-with-XZR: the read half becomes NORET
+        dst = None if use_st_form else self.def_reg(instr.dst)
         self.emit(Instruction(
             op=Op.AMO, amo_kind=instr.rmw_kind, src1=operand, dst=dst,
-            addr_reg=addr, acquire=acquire, release=release, width=instr.width,
+            addr_reg=addr, acquire=not use_st_form and instr.order.at_least_acquire,
+            release=instr.order.at_least_release, width=instr.width,
         ))
-        self.store_def(instr.dst, dst)
-
-    def _emit_rmw_loop(self, instr: IRInstr) -> None:
-        operand = self.use_reg(instr.a)  # type: ignore[arg-type]
-        addr = self.addr_of(instr.loc)
-        retry = self.fresh_label("rmw")
-        old = self.def_reg(instr.dst)
-        new = self.def_reg(None)
-        status = new  # reuse: status only needed after new is consumed
-        self.emit(Instruction(op=Op.LABEL, label=retry))
-        self.emit(Instruction(
-            op=Op.LDX, dst=old, addr_reg=addr, exclusive=True,
-            acquire=instr.order.at_least_acquire, width=instr.width,
-        ))
-        if instr.rmw_kind == "swap":
-            new_reg = operand
-        else:
-            self.alu(new, old, _RMW_ALU[instr.rmw_kind], src2=operand)
-            new_reg = new
-        self.emit(Instruction(
-            op=Op.STX, status=status, src1=new_reg, addr_reg=addr,
-            exclusive=True, release=instr.order.at_least_release,
-            width=instr.width,
-        ))
-        self.emit(Instruction(op=Op.CBNZ, src1=status, label=retry))
-        self.store_def(instr.dst, old)
-
-
-_RMW_ALU = {"add": "add", "sub": "sub", "or": "or", "and": "and", "xor": "xor"}
+        if dst is not None:
+            self.store_def(instr.dst, dst)
 
 
 # --------------------------------------------------------------------------- #
@@ -225,54 +160,14 @@ _RMW_ALU = {"add": "add", "sub": "sub", "or": "or", "and": "and", "xor": "xor"}
 class Armv7Codegen(_ThreadCodegen):
     """Armv7-A back-end: DMB ISH bracketing + LDREX/STREX loops."""
 
-    def emit_fence(self, order: MemoryOrder) -> None:
-        self._fence("DMB.ISH")
-
-    def emit_load(self, instr: IRInstr, index: int) -> None:
-        addr = self.addr_of(instr.loc)
-        dst = self.def_reg(instr.dst)
-        if instr.order.is_seq_cst:
-            self._fence("DMB.ISH")
-        self.emit(Instruction(op=Op.LOAD, dst=dst, addr_reg=addr,
-                              width=instr.width))
-        if instr.order.at_least_acquire:
-            self._fence("DMB.ISH")
-        self.store_def(instr.dst, dst)
-
-    def emit_store(self, instr: IRInstr) -> None:
-        value = self.use_reg(instr.a)  # type: ignore[arg-type]
-        addr = self.addr_of(instr.loc)
-        if instr.order.at_least_release:
-            self._fence("DMB.ISH")
-        self.emit(Instruction(op=Op.STORE, src1=value, addr_reg=addr,
-                              width=instr.width))
-        if instr.order.is_seq_cst:
-            self._fence("DMB.ISH")
-
-    def emit_rmw(self, instr: IRInstr, index: int) -> None:
-        operand = self.use_reg(instr.a)  # type: ignore[arg-type]
-        addr = self.addr_of(instr.loc)
-        if instr.order.at_least_release:
-            self._fence("DMB.ISH")
-        retry = self.fresh_label("rmw")
-        old = self.def_reg(instr.dst)
-        new = self.def_reg(None)
-        status = new
-        self.emit(Instruction(op=Op.LABEL, label=retry))
-        self.emit(Instruction(op=Op.LDX, dst=old, addr_reg=addr,
-                              exclusive=True, width=instr.width))
-        if instr.rmw_kind == "swap":
-            new_reg = operand
-        else:
-            self.alu(new, old, _RMW_ALU[instr.rmw_kind], src2=operand)
-            new_reg = new
-        self.emit(Instruction(op=Op.STX, status=status, src1=new_reg,
-                              addr_reg=addr, exclusive=True, width=instr.width))
-        self.emit(Instruction(op=Op.CMP, src1=status, imm=0))
-        self.emit(Instruction(op=Op.BCOND, cond="ne", label=retry))
-        if instr.order.at_least_acquire:
-            self._fence("DMB.ISH")
-        self.store_def(instr.dst, old)
+    fences = by_order("DMB.ISH")
+    load_fences = (by_order("DMB.ISH", "is_seq_cst"),
+                   by_order("DMB.ISH", "at_least_acquire"))
+    store_fences = (by_order("DMB.ISH", "at_least_release"),
+                    by_order("DMB.ISH", "is_seq_cst"))
+    rmw_fences = (by_order("DMB.ISH", "at_least_release"),
+                  by_order("DMB.ISH", "at_least_acquire"))
+    retry_on = Op.CMP
 
 
 # --------------------------------------------------------------------------- #
@@ -281,86 +176,51 @@ class Armv7Codegen(_ThreadCodegen):
 class X86Codegen(_ThreadCodegen):
     """x86-64 back-end: plain MOVs under TSO, locked RMWs."""
 
-    def emit_fence(self, order: MemoryOrder) -> None:
-        if order.is_seq_cst:
-            self._fence("MFENCE")
-        # weaker fences are compiler-only barriers on TSO: no instruction
+    # weaker fences are compiler-only barriers on TSO: no instruction
+    fences = by_order("MFENCE", "is_seq_cst")
+    # gcc: seq_cst store = MOV + MFENCE (clang's is an XCHG, see store_op)
+    store_fences = ({}, by_order("MFENCE", "is_seq_cst"))
+    two_operand = addr_first = store_imm = True
 
-    def emit_load(self, instr: IRInstr, index: int) -> None:
-        addr = self.addr_of(instr.loc)
-        dst = self.def_reg(instr.dst)
-        self.emit(Instruction(op=Op.LOAD, dst=dst, addr_reg=addr,
-                              width=instr.width))
-        self.store_def(instr.dst, dst)
+    def __init__(self, fn: IRFunction, program: IRProgram,
+                 profile: CompilerProfile, isa: Isa) -> None:
+        super().__init__(fn, program, profile, isa)
+        self.xchg_store = self.profile.compiler == "llvm"
+        if self.xchg_store:
+            self.store_fences = NO_FENCES
 
-    def emit_store(self, instr: IRInstr) -> None:
-        addr = self.addr_of(instr.loc)
-        if instr.order.is_seq_cst:
-            if self.profile.compiler == "llvm":
-                # clang: seq_cst store = XCHG (implicitly locked); copy to
-                # a scratch first — XCHG clobbers its register operand
-                value = self.use_reg(instr.a)  # type: ignore[arg-type]
-                scratch = self.def_reg(None)
-                if scratch != value:
-                    self.emit(Instruction(op=Op.MOV, dst=scratch, src1=value))
-                self.emit(Instruction(op=Op.AMO, amo_kind="swap", src1=scratch,
-                                      dst=scratch, addr_reg=addr,
-                                      exclusive=True, width=instr.width))
-            else:
-                # gcc: seq_cst store = MOV + MFENCE
-                value = self.use_reg(instr.a)  # type: ignore[arg-type]
-                self.emit(Instruction(op=Op.STORE, src1=value, addr_reg=addr,
-                                      width=instr.width))
-                self._fence("MFENCE")
-            return
-        if isinstance(instr.a, int):
-            # x86 can store immediates directly
-            self.emit(Instruction(op=Op.STORE, imm=instr.a, addr_reg=addr,
-                                  width=instr.width))
+    def store_op(self, instr: IRInstr, value: Optional[str], addr: str) -> None:
+        if instr.order.is_seq_cst and self.xchg_store:
+            self._locked("swap", value, self.def_reg(None), addr, instr.width)  # type: ignore[arg-type]
         else:
-            value = self.use_reg(instr.a)
-            self.emit(Instruction(op=Op.STORE, src1=value, addr_reg=addr,
-                                  width=instr.width))
+            super().store_op(instr, value, addr)
 
     def emit_rmw(self, instr: IRInstr, index: int) -> None:
         addr = self.addr_of(instr.loc)
-        result_unused = instr.dst is None
-        if instr.rmw_kind == "swap":
+        if instr.rmw_kind in ("swap", "add"):
             value = self.use_reg(instr.a)  # type: ignore[arg-type]
-            dst = value if result_unused else self.def_reg(instr.dst)
-            if dst != value:
-                self.emit(Instruction(op=Op.MOV, dst=dst, src1=value))
-            self.emit(Instruction(op=Op.AMO, amo_kind="swap", src1=dst, dst=dst,
-                                  addr_reg=addr, exclusive=True,
-                                  width=instr.width))
+            dst = value if instr.dst is None else self.def_reg(instr.dst)
+            self._locked(instr.rmw_kind, value, dst, addr, instr.width)
             self.store_def(instr.dst, dst)
             return
-        if instr.rmw_kind == "add":
-            value = self.use_reg(instr.a)  # type: ignore[arg-type]
-            dst = value if result_unused else self.def_reg(instr.dst)
-            if dst != value:
-                self.emit(Instruction(op=Op.MOV, dst=dst, src1=value))
-            self.emit(Instruction(op=Op.AMO, amo_kind="add", src1=dst, dst=dst,
-                                  addr_reg=addr, exclusive=True,
-                                  width=instr.width))
-            self.store_def(instr.dst, dst)
-            return
-        if result_unused:
-            # memory-destination form: lock or/and/xor/sub
-            if isinstance(instr.a, int):
-                self.emit(Instruction(op=Op.AMO, amo_kind=instr.rmw_kind,
-                                      imm=instr.a, addr_reg=addr,
-                                      exclusive=True, width=instr.width))
-            else:
-                value = self.use_reg(instr.a)
-                self.emit(Instruction(op=Op.AMO, amo_kind=instr.rmw_kind,
-                                      src1=value, addr_reg=addr,
-                                      exclusive=True, width=instr.width))
-            return
-        raise CompilationError(
-            f"x86 fetch_{instr.rmw_kind} returning the old value needs a "
-            f"CMPXCHG loop, which is outside the modelled subset"
-        )
+        if instr.dst is not None:
+            raise CompilationError(
+                f"x86 fetch_{instr.rmw_kind} returning the old value needs a "
+                f"CMPXCHG loop, which is outside the modelled subset"
+            )
+        # memory-destination form: lock or/and/xor/sub
+        value = None if isinstance(instr.a, int) else self.use_reg(instr.a)
+        self.emit(Instruction(op=Op.AMO, amo_kind=instr.rmw_kind, src1=value,
+                              imm=instr.a if value is None else None,
+                              addr_reg=addr, exclusive=True, width=instr.width))
+
+    def _locked(self, kind: str, value: str, dst: str, addr: str, width: int) -> None:
+        """XCHG / LOCK XADD of ``value`` through ``dst``, which the
+        instruction overwrites with the old memory value."""
+        if dst != value:
+            self.emit(Instruction(op=Op.MOV, dst=dst, src1=value))
+        self.emit(Instruction(op=Op.AMO, amo_kind=kind, src1=dst, dst=dst,
+                              addr_reg=addr, exclusive=True, width=width))
 
 
 # --------------------------------------------------------------------------- #
@@ -369,34 +229,13 @@ class X86Codegen(_ThreadCodegen):
 class RiscVCodegen(_ThreadCodegen):
     """RV64 back-end: fence-based loads/stores, annotated AMOs."""
 
-    def emit_fence(self, order: MemoryOrder) -> None:
-        if order is MemoryOrder.ACQ:
-            self._fence("FENCE.R.RW")
-        elif order is MemoryOrder.REL:
-            self._fence("FENCE.RW.W")
-        else:
-            self._fence("FENCE.RW.RW")
-
-    def emit_load(self, instr: IRInstr, index: int) -> None:
-        addr = self.addr_of(instr.loc)
-        dst = self.def_reg(instr.dst)
-        if instr.order.is_seq_cst:
-            self._fence("FENCE.RW.RW")
-        self.emit(Instruction(op=Op.LOAD, dst=dst, addr_reg=addr,
-                              width=instr.width))
-        if instr.order.at_least_acquire:
-            self._fence("FENCE.R.RW")
-        self.store_def(instr.dst, dst)
-
-    def emit_store(self, instr: IRInstr) -> None:
-        value = self.use_reg(instr.a)  # type: ignore[arg-type]
-        addr = self.addr_of(instr.loc)
-        if instr.order.at_least_release:
-            self._fence("FENCE.RW.W")
-        self.emit(Instruction(op=Op.STORE, src1=value, addr_reg=addr,
-                              width=instr.width))
-        if instr.order.is_seq_cst:
-            self._fence("FENCE.RW.RW")
+    fences = {**by_order("FENCE.RW.RW"), MemoryOrder.ACQ: "FENCE.R.RW",
+              MemoryOrder.REL: "FENCE.RW.W"}
+    load_fences = (by_order("FENCE.RW.RW", "is_seq_cst"),
+                   by_order("FENCE.R.RW", "at_least_acquire"))
+    store_fences = (by_order("FENCE.RW.W", "at_least_release"),
+                    by_order("FENCE.RW.RW", "is_seq_cst"))
+    zero_branch = fused_branch = True
 
     def emit_rmw(self, instr: IRInstr, index: int) -> None:
         operand = self.use_reg(instr.a)  # type: ignore[arg-type]
@@ -415,114 +254,38 @@ class RiscVCodegen(_ThreadCodegen):
 # --------------------------------------------------------------------------- #
 # PowerPC
 # --------------------------------------------------------------------------- #
+_PPC_RELEASE = {**by_order("LWSYNC", "at_least_release"),
+                **by_order("SYNC", "is_seq_cst")}
+
+
 class PpcCodegen(_ThreadCodegen):
     """PowerPC64 back-end: SYNC/LWSYNC bracketing, LWARX/STWCX. loops."""
 
-    def emit_fence(self, order: MemoryOrder) -> None:
-        if order.is_seq_cst:
-            self._fence("SYNC")
-        else:
-            self._fence("LWSYNC")
-
-    def emit_load(self, instr: IRInstr, index: int) -> None:
-        addr = self.addr_of(instr.loc)
-        dst = self.def_reg(instr.dst)
-        if instr.order.is_seq_cst:
-            self._fence("SYNC")
-        self.emit(Instruction(op=Op.LOAD, dst=dst, addr_reg=addr,
-                              width=instr.width))
-        if instr.order.at_least_acquire:
-            self._fence("LWSYNC")
-        self.store_def(instr.dst, dst)
-
-    def emit_store(self, instr: IRInstr) -> None:
-        value = self.use_reg(instr.a)  # type: ignore[arg-type]
-        addr = self.addr_of(instr.loc)
-        if instr.order.is_seq_cst:
-            self._fence("SYNC")
-        elif instr.order.at_least_release:
-            self._fence("LWSYNC")
-        self.emit(Instruction(op=Op.STORE, src1=value, addr_reg=addr,
-                              width=instr.width))
-
-    def emit_rmw(self, instr: IRInstr, index: int) -> None:
-        operand = self.use_reg(instr.a)  # type: ignore[arg-type]
-        addr = self.addr_of(instr.loc)
-        if instr.order.is_seq_cst:
-            self._fence("SYNC")
-        elif instr.order.at_least_release:
-            self._fence("LWSYNC")
-        retry = self.fresh_label("rmw")
-        old = self.def_reg(instr.dst)
-        new = self.def_reg(None)
-        self.emit(Instruction(op=Op.LABEL, label=retry))
-        self.emit(Instruction(op=Op.LDX, dst=old, addr_reg=addr,
-                              exclusive=True, width=instr.width))
-        if instr.rmw_kind == "swap":
-            new_reg = operand
-        else:
-            self.alu(new, old, _RMW_ALU[instr.rmw_kind], src2=operand)
-            new_reg = new
-        # stwcx. reports through CR0 (status=None → flags)
-        self.emit(Instruction(op=Op.STX, src1=new_reg, addr_reg=addr,
-                              exclusive=True, width=instr.width))
-        self.emit(Instruction(op=Op.BCOND, cond="ne", label=retry))
-        if instr.order.at_least_acquire:
-            self._fence("LWSYNC")
-        self.store_def(instr.dst, old)
+    fences = {**by_order("LWSYNC"), MemoryOrder.SC: "SYNC"}
+    load_fences = (by_order("SYNC", "is_seq_cst"),
+                   by_order("LWSYNC", "at_least_acquire"))
+    store_fences = (_PPC_RELEASE, {})
+    rmw_fences = (_PPC_RELEASE, by_order("LWSYNC", "at_least_acquire"))
+    # stwcx. reports through CR0
+    retry_on = Op.BCOND
 
 
 # --------------------------------------------------------------------------- #
 # MIPS
 # --------------------------------------------------------------------------- #
+_MIPS_SYNC = by_order("MIPS.SYNC", "is_atomic")
+
+
 class MipsCodegen(_ThreadCodegen):
     """MIPS64 back-end: conservative SYNC bracketing of every atomic
     access (GCC treats atomics as volatile — paper §IV-C [40])."""
 
-    def emit_fence(self, order: MemoryOrder) -> None:
-        self._fence("MIPS.SYNC")
-
-    def emit_load(self, instr: IRInstr, index: int) -> None:
-        addr = self.addr_of(instr.loc)
-        dst = self.def_reg(instr.dst)
-        if instr.order.is_atomic:
-            self._fence("MIPS.SYNC")
-        self.emit(Instruction(op=Op.LOAD, dst=dst, addr_reg=addr,
-                              width=instr.width))
-        if instr.order.is_atomic:
-            self._fence("MIPS.SYNC")
-        self.store_def(instr.dst, dst)
-
-    def emit_store(self, instr: IRInstr) -> None:
-        value = self.use_reg(instr.a)  # type: ignore[arg-type]
-        addr = self.addr_of(instr.loc)
-        if instr.order.is_atomic:
-            self._fence("MIPS.SYNC")
-        self.emit(Instruction(op=Op.STORE, src1=value, addr_reg=addr,
-                              width=instr.width))
-        if instr.order.is_atomic:
-            self._fence("MIPS.SYNC")
-
-    def emit_rmw(self, instr: IRInstr, index: int) -> None:
-        operand = self.use_reg(instr.a)  # type: ignore[arg-type]
-        addr = self.addr_of(instr.loc)
-        self._fence("MIPS.SYNC")
-        retry = self.fresh_label("rmw")
-        old = self.def_reg(instr.dst)
-        new = self.def_reg(None)
-        self.emit(Instruction(op=Op.LABEL, label=retry))
-        self.emit(Instruction(op=Op.LDX, dst=old, addr_reg=addr,
-                              exclusive=True, width=instr.width))
-        if instr.rmw_kind == "swap":
-            self.emit(Instruction(op=Op.MOV, dst=new, src1=operand))
-        else:
-            self.alu(new, old, _RMW_ALU[instr.rmw_kind], src2=operand)
-        # MIPS sc consumes the value register and writes 1 on success
-        self.emit(Instruction(op=Op.STX, status=new, src1=new, addr_reg=addr,
-                              imm=1, exclusive=True, width=instr.width))
-        self.emit(Instruction(op=Op.CBZ, src1=new, label=retry))
-        self._fence("MIPS.SYNC")
-        self.store_def(instr.dst, old)
+    fences = by_order("MIPS.SYNC")
+    load_fences = store_fences = (_MIPS_SYNC, _MIPS_SYNC)
+    rmw_fences = (fences, fences)
+    # sc writes 1 over its value register on success
+    retry_on = Op.CBZ
+    sc_writes_value = zero_branch = fused_branch = True
 
 
 # --------------------------------------------------------------------------- #

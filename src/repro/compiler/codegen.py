@@ -16,7 +16,7 @@ paper Fig. 11).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..asm.isa.base import Instruction, Isa, Op
 from ..core.errors import CompilationError
@@ -64,8 +64,57 @@ class CompiledUnit:
 # --------------------------------------------------------------------------- #
 # per-thread code generation
 # --------------------------------------------------------------------------- #
+#: a memory order's fence tag, if the mapping puts a fence there
+FenceTable = Dict[MemoryOrder, str]
+#: the (leading, trailing) fences around one kind of access
+FencePair = Tuple[FenceTable, FenceTable]
+NO_FENCES: FencePair = ({}, {})
+
+
+def by_order(tag: str, test: str = "") -> FenceTable:
+    """``tag`` for every memory order, or for those whose property
+    ``test`` holds (``"is_seq_cst"``, ``"at_least_acquire"``, …)."""
+    return {order: tag for order in MemoryOrder if not test or getattr(order, test)}
+
+
 class _ThreadCodegen:
-    """Generates code for one IR function under one profile."""
+    """Generates code for one IR function under one profile.
+
+    The mapping skeleton (``emit_fence``/``emit_load``/``emit_store``,
+    the LL/SC ``emit_rmw`` and its ``llsc_loop``) is shared; a back-end
+    declares its C11 mapping in the tables and flags below and overrides
+    only what is ISA-specific.
+    """
+
+    #: ``atomic_thread_fence``'s tag by memory order (none: no instruction)
+    fences: FenceTable = {}
+    #: the fences around a load, a store and an LL/SC RMW, by memory order
+    load_fences: FencePair = NO_FENCES
+    store_fences: FencePair = NO_FENCES
+    rmw_fences: FencePair = NO_FENCES
+    #: acquire/release are tags on the accesses (LDAR, STLR, LDAXR/STLXR)
+    tagged: bool = False
+    #: how an LL/SC loop retries: CBNZ or CBZ on the status register,
+    #: CMP (compare the status, then B.NE), or BCOND (B.NE on the flags
+    #: the store-exclusive set; it has no status register)
+    retry_on: Op = Op.CBNZ
+    #: the store-conditional writes its success flag (1) over its value
+    #: register, so a swap goes through a copy (MIPS ``sc``)
+    sc_writes_value: bool = False
+    #: ALU ops are two-operand, the destination doubling as a source
+    two_operand: bool = False
+    #: CBZ/CBNZ compare with zero and branch in one instruction
+    zero_branch: bool = False
+    #: conditional branches compare two registers (beq/bne/blt/bge)
+    fused_branch: bool = False
+    #: a store materialises its address before its value
+    addr_first: bool = False
+    #: a plain store may take its value as an immediate
+    store_imm: bool = False
+    #: the 128-bit load and store paths, where they differ from the
+    #: plain ones (AArch64's LDP/STP and exclusive pairs)
+    load_128: Optional[Callable[[IRInstr], None]] = None
+    store_128: Optional[Callable[[IRInstr], None]] = None
 
     def __init__(
         self, fn: IRFunction, program: IRProgram, profile: CompilerProfile, isa: Isa
@@ -312,7 +361,7 @@ class _ThreadCodegen:
         raise CompilationError(f"cannot emit {instr!r}")
 
     # ------------------------------------------------------------------ #
-    # generic emission (per-ISA hooks below)
+    # generic emission
     # ------------------------------------------------------------------ #
     def alu(
         self,
@@ -322,9 +371,9 @@ class _ThreadCodegen:
         src2: Optional[str] = None,
         imm: Optional[int] = None,
     ) -> None:
-        """Emit an ALU op, honouring x86's two-operand constraint."""
-        if self.isa.name == "x86_64" and dst != src1:
-            if src2 == dst or (src2 is None and False):
+        """Emit an ALU op, honouring a two-operand ISA's constraint."""
+        if self.two_operand and dst != src1:
+            if src2 == dst:
                 raise CompilationError("x86 operand aliasing not representable")
             self.emit(Instruction(op=Op.MOV, dst=dst, src1=src1))
             src1 = dst
@@ -389,13 +438,11 @@ class _ThreadCodegen:
 
     def emit_cbr(self, instr: IRInstr) -> None:
         a_reg = self.use_reg(instr.a)  # type: ignore[arg-type]
-        if instr.b == 0 and instr.cond in ("eq", "ne") and self.isa.name not in (
-            "ppc64", "armv7", "x86_64"
-        ):
+        if instr.b == 0 and instr.cond in ("eq", "ne") and self.zero_branch:
             op = Op.CBZ if instr.cond == "eq" else Op.CBNZ
             self.emit(Instruction(op=op, src1=a_reg, label=instr.label))
             return
-        if self.isa.name in ("riscv64", "mips64"):
+        if self.fused_branch:
             b_reg = (
                 self.isa.zero_reg
                 if instr.b == 0
@@ -413,19 +460,110 @@ class _ThreadCodegen:
         self.emit(Instruction(op=Op.BCOND, cond=instr.cond, label=instr.label))
 
     # ------------------------------------------------------------------ #
-    # per-ISA hooks (overridden by subclasses)
+    # the C11 mapping skeleton, driven by each back-end's tables
     # ------------------------------------------------------------------ #
     def emit_fence(self, order: MemoryOrder) -> None:
-        raise NotImplementedError
+        self._fence(self.fences.get(order))
 
     def emit_load(self, instr: IRInstr, index: int) -> None:
-        raise NotImplementedError
+        if instr.width == 128 and self.load_128 is not None:
+            self.load_128(instr)
+            return
+        addr = self.addr_of(instr.loc)
+        dst = self.def_reg(instr.dst)
+        order = instr.order
+        lead, trail = self.load_fences
+        self._fence(lead.get(order))
+        # a tagged acquire is LDAR, or LDAPR (Armv8.3 RCpc) below seq_cst
+        acquire = self.tagged and order.at_least_acquire
+        rcpc = acquire and self.profile.rcpc and not order.is_seq_cst
+        self.emit(Instruction(op=Op.LOAD, dst=dst, addr_reg=addr,
+                              acquire=acquire and not rcpc, acquire_pc=rcpc,
+                              width=instr.width))
+        self._fence(trail.get(order))
+        self.store_def(instr.dst, dst)
 
     def emit_store(self, instr: IRInstr) -> None:
-        raise NotImplementedError
+        if instr.width == 128 and self.store_128 is not None:
+            self.store_128(instr)
+            return
+        if self.addr_first:
+            addr = self.addr_of(instr.loc)
+            value = self._store_value(instr)
+        else:
+            value = self._store_value(instr)
+            addr = self.addr_of(instr.loc)
+        lead, trail = self.store_fences
+        self._fence(lead.get(instr.order))
+        self.store_op(instr, value, addr)
+        self._fence(trail.get(instr.order))
+
+    def _store_value(self, instr: IRInstr) -> Optional[str]:
+        """The register a store writes from, or None where the ISA stores
+        the immediate itself (a seq_cst store still takes a register)."""
+        if self.store_imm and isinstance(instr.a, int) and not instr.order.is_seq_cst:
+            return None
+        return self.use_reg(instr.a)  # type: ignore[arg-type]
+
+    def store_op(self, instr: IRInstr, value: Optional[str], addr: str) -> None:
+        """The store between its fences (hook: x86's seq_cst XCHG)."""
+        self.emit(Instruction(
+            op=Op.STORE, src1=value, imm=instr.a if value is None else None,
+            addr_reg=addr, release=self.tagged and instr.order.at_least_release,
+            width=instr.width,
+        ))
 
     def emit_rmw(self, instr: IRInstr, index: int) -> None:
-        raise NotImplementedError
+        """An RMW as an LL/SC retry loop between its fences (hook: the
+        single-instruction RMWs of LSE, x86 and RISC-V)."""
+        operand = self.use_reg(instr.a)  # type: ignore[arg-type]
+        addr = self.addr_of(instr.loc)
+        order = instr.order
+        lead, trail = self.rmw_fences
+        self._fence(lead.get(order))
+        old = self.def_reg(instr.dst)
+        new = self.def_reg(None)
+        if instr.rmw_kind != "swap":
+            body = [Instruction(op=Op.ALU, dst=new, src1=old, src2=operand,
+                                alu_op=instr.rmw_kind)]
+        elif self.sc_writes_value:
+            body = [Instruction(op=Op.MOV, dst=new, src1=operand)]
+        else:
+            body = []
+        self.llsc_loop(
+            "rmw",
+            Instruction(op=Op.LDX, dst=old, addr_reg=addr, exclusive=True,
+                        acquire=self.tagged and order.at_least_acquire,
+                        width=instr.width),
+            body,
+            Instruction(
+                op=Op.STX, status=None if self.retry_on is Op.BCOND else new,
+                src1=new if body else operand, addr_reg=addr,
+                imm=1 if self.sc_writes_value else None, exclusive=True,
+                release=self.tagged and order.at_least_release,
+                width=instr.width,
+            ),
+        )
+        self._fence(trail.get(order))
+        self.store_def(instr.dst, old)
+
+    def llsc_loop(self, hint: str, ldx: Instruction, body: List[Instruction],
+                  stx: Instruction) -> None:
+        """``retry: ldx; body; stx``, branching back to ``retry`` while
+        the store-exclusive failed (``stx.status`` is its status
+        register, if it has one)."""
+        retry = self.fresh_label(hint)
+        self.emit(Instruction(op=Op.LABEL, label=retry))
+        self.emit(ldx)
+        for instr in body:
+            self.emit(instr)
+        self.emit(stx)
+        if self.retry_on is Op.CMP:
+            self.emit(Instruction(op=Op.CMP, src1=stx.status, imm=0))
+        if self.retry_on in (Op.CMP, Op.BCOND):
+            self.emit(Instruction(op=Op.BCOND, cond="ne", label=retry))
+        else:
+            self.emit(Instruction(op=self.retry_on, src1=stx.status, label=retry))
 
     # ---- shared analysis ------------------------------------------------ #
     def acquire_context_follows(self, index: int) -> bool:
@@ -441,8 +579,9 @@ class _ThreadCodegen:
                 return True
         return False
 
-    def _fence(self, *tags: str) -> None:
-        self.emit(Instruction(op=Op.FENCE, fence_tags=frozenset(tags)))
+    def _fence(self, tag: Optional[str]) -> None:
+        if tag is not None:
+            self.emit(Instruction(op=Op.FENCE, fence_tags=frozenset((tag,))))
 
 
 _BIN_TO_ALU = {
