@@ -191,7 +191,7 @@ class X86Codegen(_ThreadCodegen):
 
     def store_op(self, instr: IRInstr, value: Optional[str], addr: str) -> None:
         if instr.order.is_seq_cst and self.xchg_store:
-            self._locked("swap", value, self.def_reg(None), addr, instr.width)  # type: ignore[arg-type]
+            self._locked("swap", value, None, addr, instr.width)  # type: ignore[arg-type]
         else:
             super().store_op(instr, value, addr)
 
@@ -199,8 +199,7 @@ class X86Codegen(_ThreadCodegen):
         addr = self.addr_of(instr.loc)
         if instr.rmw_kind in ("swap", "add"):
             value = self.use_reg(instr.a)  # type: ignore[arg-type]
-            dst = value if instr.dst is None else self.def_reg(instr.dst)
-            self._locked(instr.rmw_kind, value, dst, addr, instr.width)
+            dst = self._locked(instr.rmw_kind, value, instr.dst, addr, instr.width)
             self.store_def(instr.dst, dst)
             return
         if instr.dst is not None:
@@ -214,13 +213,19 @@ class X86Codegen(_ThreadCodegen):
                               imm=instr.a if value is None else None,
                               addr_reg=addr, exclusive=True, width=instr.width))
 
-    def _locked(self, kind: str, value: str, dst: str, addr: str, width: int) -> None:
-        """XCHG / LOCK XADD of ``value`` through ``dst``, which the
-        instruction overwrites with the old memory value."""
+    def _locked(self, kind: str, value: str, vreg: Optional[str], addr: str,
+                width: int) -> str:
+        """XCHG / LOCK XADD of ``value``, returning the register that
+        then holds the old memory value.  The instruction overwrites its
+        register operand, so it runs in ``vreg``'s own register (a fresh
+        temp when the result is unused), never in the operand's: the
+        local the operand came from may be read again."""
+        dst = self.def_reg(vreg)
         if dst != value:
             self.emit(Instruction(op=Op.MOV, dst=dst, src1=value))
         self.emit(Instruction(op=Op.AMO, amo_kind=kind, src1=dst, dst=dst,
                               addr_reg=addr, exclusive=True, width=width))
+        return dst
 
 
 # --------------------------------------------------------------------------- #

@@ -18,7 +18,7 @@ CORPUS = pathlib.Path(__file__).parent / "corpus" / "suites"
 
 #: sha256 over the newline-joined ``AsmLitmus.digest()`` of every lift,
 #: arch by arch, then compiler, then opt level, then test
-PINNED = "f4143ecf41bb5c7ad0b7870a0d3f6b7667bec58a89ef41c1047d10f244b3f44f"
+PINNED = "af2ec125eedd799c3f7c4f3461b5b53cead69a653fe0ac72f9d9b6aaa2ab3e85"
 
 
 def _tests():
