@@ -26,6 +26,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Pattern, Tuple
 
+from ...core.errors import ReproError
 from ...core.registry import Registry
 
 
@@ -183,7 +184,7 @@ def nop() -> Instruction:
     return Instruction(op=Op.NOP, text="nop")
 
 
-class IsaError(ValueError):
+class IsaError(ReproError, ValueError):
     """An ISA module rejected a mnemonic or operand."""
 
 
@@ -208,6 +209,8 @@ class Isa:
     addr_regs: Tuple[str, ...] = ()
     #: registers that carry the (up to 8) pointer arguments, in order.
     param_regs: Tuple[str, ...] = ()
+    #: the stack pointer, which -O0 code spills through.
+    stack_reg: str = "sp"
 
     #: how ``Op.RET`` prints.
     _ret_text: str = "ret"
@@ -252,7 +255,14 @@ class Isa:
         mnem = mnem.lower()
         if mnem == "nop":
             return Instruction(op=Op.NOP, text=text)
-        return self._parse_operands(mnem, rest, text).with_text(text)
+        try:
+            instr = self._parse_operands(mnem, rest, text)
+        except IsaError:
+            raise
+        except (IndexError, ValueError) as exc:
+            # a missing or malformed operand
+            raise IsaError(f"bad operands in {text!r}") from exc
+        return instr.with_text(text)
 
     # ------------------------------------------------------------------ #
     def _print_mnemonic(self, instr: Instruction) -> Optional[str]:

@@ -55,6 +55,7 @@ class Mips(Isa):
     value_regs = ("$2", "$3", "$8", "$9", "$10", "$11")
     addr_regs = ("$4", "$5", "$6", "$7")
     param_regs = ("$4", "$5", "$6", "$7")
+    stack_reg = "$sp"
     _ret_text = "jr $ra"
     _fences = {frozenset({"MIPS.SYNC"}): "sync"}
 

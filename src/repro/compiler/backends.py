@@ -1,25 +1,40 @@
 """Per-architecture back-ends: the C11 atomics mappings under test.
 
-Each back-end subclasses the generic :class:`~repro.compiler.codegen._ThreadCodegen`
-and supplies ``emit_fence`` / ``emit_load`` / ``emit_store`` / ``emit_rmw``
-— the mapping tables real compilers implement and the paper tests.  Bug
-flags (see :mod:`repro.compiler.bugs`) divert instruction selection onto
-the historical buggy paths.
+Each back-end subclasses :class:`~repro.compiler.codegen._ThreadCodegen`,
+whose skeleton emits every fence, load, store and LL/SC RMW loop, and
+declares its mapping as data: ``fences`` by memory order, and the fences
+before and after a load, a store and an RMW (``load_fences``,
+``store_fences``, ``rmw_fences``).  Only AArch64's LSE and 128-bit
+paths, x86's locked forms and RISC-V's AMOs are written out as code.
+Bug flags (see :mod:`repro.compiler.bugs`) divert instruction selection
+onto the historical buggy paths.
 
-Mapping summary (loads/stores/RMW per memory order):
+Mapping summary.  ``F+`` is fence F before the access and ``+F`` after
+it, for the orders named: ``acq`` (acquire, acq_rel, seq_cst), ``rel``
+(release, acq_rel, seq_cst), ``sc`` (seq_cst), or every atomic order
+when none is named.  A fence's own order selects its tag exactly:
 
-==========  =====================  ======================  =================
-target      load                   store                   RMW
-==========  =====================  ======================  =================
-AArch64     LDR / LDAR(/LDAPR)     STR / STLR              LSE LDADD/SWP… or
-                                                           LDXR/STXR loop
-Armv7       LDR (+DMB ISH)         (DMB ISH+) STR (+DMB)   LDREX/STREX loop
-x86-64      MOV                    MOV / XCHG(llvm),       LOCK XADD / XCHG
-                                   MOV+MFENCE(gcc)
-RISC-V      LW (+fences)           (fence+) SW             AMO<op>.aq/.rl
-PowerPC     LWZ (+LWSYNC/SYNC)     (LWSYNC/SYNC+) STW      LWARX/STWCX. loop
-MIPS        SYNC+LW+SYNC           SYNC+SW+SYNC            SYNC+LL/SC+SYNC
-==========  =====================  ======================  =================
+=======  ================  ===================  ===================  ========================
+target   fence             load                 store                RMW
+=======  ================  ===================  ===================  ========================
+AArch64  DMB ISHLD if      LDR / LDAR acq /     STR / STLR rel       LSE LDADD/SWP… (ST<op>
+         acquire, else     LDAPR acq (RCpc)                          if unused) or LDAXR/
+         DMB ISH                                                     STLXR loop, CBNZ
+Armv7    DMB ISH           sc DMB+ LDR +DMB     rel DMB+ STR +DMB    rel DMB+ LDREX/STREX
+                           acq                  sc                   loop, CMP+BNE, +DMB acq
+x86-64   MFENCE if         MOV                  MOV (imm) / XCHG sc  XCHG / LOCK XADD; LOCK
+         seq_cst, else                          (llvm) / +MFENCE sc  OR/AND/XOR/SUB if
+         none                                   (gcc)                unused
+RISC-V   fence r,rw if     sc fence rw,rw+ LW   rel fence rw,w+ SW   AMO<op>.aq/.rl
+         acquire, rw,w if  +fence r,rw acq      +fence rw,rw sc
+         release, else
+         rw,rw
+PowerPC  SYNC if seq_cst,  sc SYNC+ LWZ         rel LWSYNC+ (sc      rel LWSYNC+ (sc SYNC+)
+         else LWSYNC       +LWSYNC acq          SYNC+) STW           LWARX/STWCX. loop, BNE
+                                                                     on CR0, +LWSYNC acq
+MIPS     SYNC              SYNC+ LW +SYNC       SYNC+ SW +SYNC       SYNC+ LL/SC loop, BEQZ,
+                                                                     +SYNC
+=======  ================  ===================  ===================  ========================
 
 MIPS brackets *every* atomic access in SYNC — GCC treats atomic data as
 volatile (paper §IV-C) — which is why MIPS shows zero positive differences

@@ -1,10 +1,11 @@
 """Code generation: IR → per-ISA machine instructions.
 
-Implements the C11 atomics mappings each back-end uses, the calling/PIC
-conventions that create the address-materialisation traffic of §IV-E, and
-the instruction-selection decisions where the paper's historical bugs
-live (ST-form RMWs, 128-bit pairs).  See :mod:`repro.compiler.bugs` for
-the bug flags consulted here.
+Implements the one emission skeleton for the C11 atomics mappings (each
+back-end in :mod:`repro.compiler.backends` fills in its tables) and the
+calling/PIC conventions that create the address-materialisation traffic
+of §IV-E.  The instruction-selection decisions where the paper's
+historical bugs live (ST-form RMWs, 128-bit pairs) are the back-ends';
+see :mod:`repro.compiler.bugs` for the bug flags they consult.
 
 Register allocation is deliberately simple: value virtual registers map
 to a per-ISA scratch pool with last-use freeing; at ``-O0`` every local
@@ -210,7 +211,7 @@ class _ThreadCodegen:
         if vreg is None or not self.at_o0:
             return
         slot = self.slot_of.setdefault(vreg, 8 * len(self.slot_of))
-        self.emit(Instruction(op=Op.STORE, src1=reg, addr_reg=self._sp(),
+        self.emit(Instruction(op=Op.STORE, src1=reg, addr_reg=self.isa.stack_reg,
                               offset=slot, width=32))
 
     def use_reg(self, operand: Operand) -> str:
@@ -224,7 +225,7 @@ class _ThreadCodegen:
                 # use of a never-defined local: zero-init slot
                 self.slot_of[operand] = 8 * len(self.slot_of)
             reg = self._next_scratch()
-            self.emit(Instruction(op=Op.LOAD, dst=reg, addr_reg=self._sp(),
+            self.emit(Instruction(op=Op.LOAD, dst=reg, addr_reg=self.isa.stack_reg,
                                   offset=self.slot_of[operand], width=32))
             return reg
         if operand not in self.vreg_map:
@@ -232,9 +233,6 @@ class _ThreadCodegen:
                 f"{self.fn.name}: use of {operand!r} before definition"
             )
         return self.vreg_map[operand]
-
-    def _sp(self) -> str:
-        return "sp"
 
     # ---- addresses ------------------------------------------------------ #
     def addr_of(self, loc: str) -> str:
@@ -305,7 +303,7 @@ class _ThreadCodegen:
                     self.out.insert(
                         len(self.out) - 1,
                         self.isa.render(
-                            Instruction(op=Op.LOAD, dst=reg, addr_reg=self._sp(),
+                            Instruction(op=Op.LOAD, dst=reg, addr_reg=self.isa.stack_reg,
                                         offset=self.slot_of[name], width=32)
                         ),
                     )

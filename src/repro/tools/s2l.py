@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..asm.isa.base import Instruction, Op, get_isa
+from ..asm.isa.base import Instruction, Isa, Op, get_isa
 from ..asm.litmus import AsmLitmus, AsmThread
 from ..compiler.disasm import strip_listing
 from ..compiler.objfile import ObjectFile
@@ -125,9 +125,12 @@ def fold_got_loads(
 
 
 def forward_stack_traffic(
-    instrs: List[Instruction], stats: S2LStats
+    instrs: List[Instruction], stats: S2LStats, stack_reg: str = Isa.stack_reg
 ) -> List[Instruction]:
     """Forward spill/reload pairs through registers; drop dead spills.
+
+    Spills and reloads are the accesses through ``stack_reg``, the
+    ISA's :attr:`~repro.asm.isa.base.Isa.stack_reg`.
 
     Stack slots are thread-private (no other thread holds their address),
     so store→load forwarding within the thread preserves every outcome.
@@ -142,13 +145,13 @@ def forward_stack_traffic(
             slot_reg.clear()
             forwarded.append(instr)
             continue
-        if instr.op is Op.STORE and instr.addr_reg == "sp" and instr.src1:
+        if instr.op is Op.STORE and instr.addr_reg == stack_reg and instr.src1:
             slot_reg[instr.offset] = instr.src1
             forwarded.append(instr)
             continue
         if (
             instr.op is Op.LOAD
-            and instr.addr_reg == "sp"
+            and instr.addr_reg == stack_reg
             and instr.offset in slot_reg
         ):
             source = slot_reg[instr.offset]
@@ -167,13 +170,13 @@ def forward_stack_traffic(
     still_loaded: Set[int] = {
         instr.offset
         for instr in forwarded
-        if instr.op is Op.LOAD and instr.addr_reg == "sp"
+        if instr.op is Op.LOAD and instr.addr_reg == stack_reg
     }
     out: List[Instruction] = []
     for instr in forwarded:
         if (
             instr.op is Op.STORE
-            and instr.addr_reg == "sp"
+            and instr.addr_reg == stack_reg
             and instr.offset not in still_loaded
         ):
             stats.removed_stack_accesses += 1
@@ -208,7 +211,7 @@ def optimise_thread(
 ) -> List[Instruction]:
     """The full s2l optimisation pipeline for one thread."""
     instrs = fold_got_loads(instrs, obj, stats)
-    instrs = forward_stack_traffic(instrs, stats)
+    instrs = forward_stack_traffic(instrs, stats, get_isa(obj.arch).stack_reg)
     instrs = drop_dead_movaddr(instrs, stats)
     return instrs
 
@@ -255,7 +258,7 @@ def assembly_to_litmus(
         addr_env: Dict[str, str] = {}
         stack_symbol = obj.debug.stack_symbols.get(name)
         if stack_symbol is not None:
-            addr_env["sp"] = stack_symbol
+            addr_env[get_isa(obj.arch).stack_reg] = stack_symbol
             regions[stack_symbol] = max(obj.stack_sizes.get(name, 0), 8)
         observed = {
             reg: local

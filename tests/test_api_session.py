@@ -812,6 +812,27 @@ class TestSession:
         with pytest.raises(SimulationTimeout):
             session.test(lb, "llvm-O3-AArch64")
 
+    def test_lift_failure_is_an_error_record(self, monkeypatch, tmp_path):
+        """A line the ISA cannot parse fails its cell, not the campaign:
+        a serial run completes and stores the cell as an error."""
+        from repro.asm.isa.mips import Mips
+        from repro.pipeline.store import CampaignStore
+
+        # -O0 spills through a stack register MIPS syntax rejects, so
+        # every mips64 -O0 lift raises IsaError
+        monkeypatch.setattr(Mips, "stack_reg", "sp")
+        path = tmp_path / "campaign.jsonl"
+        report = Session(store=path).run(CampaignPlan(
+            tests=(fig1_exchange(),), arches=("mips64", "aarch64"),
+            opts=("-O0",),
+        ))
+        for compiler in ("llvm", "gcc"):
+            assert report.cells["mips64", "-O0", compiler].errors == 1
+            assert report.cells["aarch64", "-O0", compiler].errors == 0
+        statuses = sorted((r["arch"], r["status"])
+                          for r in CampaignStore(path).records())
+        assert statuses == [("aarch64", "ok")] * 2 + [("mips64", "error")] * 2
+
     def test_store_resume_via_session(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
         cold = Session(store=path).campaign(PLAN).report()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.asm import Instruction, IsaError, Op, get_isa, list_isas
+from repro.core.errors import ReproError
 
 #: representative instruction set per ISA, as surface syntax lines.
 ROUNDTRIP_LINES = {
@@ -230,6 +231,19 @@ class TestParserDetails:
         for arch in ROUNDTRIP_LINES:
             with pytest.raises(IsaError):
                 get_isa(arch).parse_line("frobnicate r1, r2")
+
+    @pytest.mark.parametrize("arch, line", [
+        ("riscv64", "li a0,"), ("aarch64", "mov w1,"), ("x86_64", "mov eax,"),
+        ("ppc64", "lwz r3,"), ("armv7", "ldr r0,"),
+    ])
+    def test_short_operand_lists_raise_isa_error(self, arch, line):
+        with pytest.raises(IsaError, match="bad operands in"):
+            get_isa(arch).parse_line(line)
+
+    def test_isa_error_is_a_repro_error(self):
+        """So a campaign records a bad lift as an error cell."""
+        assert issubclass(IsaError, ReproError)
+        assert issubclass(IsaError, ValueError)
 
     def test_comments_and_blanks_skipped(self):
         isa = get_isa("aarch64")
