@@ -165,8 +165,7 @@ class AArch64Codegen(_ThreadCodegen):
             addr_reg=addr, acquire=not use_st_form and instr.order.at_least_acquire,
             release=instr.order.at_least_release, width=instr.width,
         ))
-        if dst is not None:
-            self.store_def(instr.dst, dst)
+        self.store_def(instr.dst, dst)  # type: ignore[arg-type]
 
 
 # --------------------------------------------------------------------------- #
@@ -267,8 +266,7 @@ class RiscVCodegen(_ThreadCodegen):
             release=instr.order.at_least_release, exclusive=True,
             width=instr.width,
         ))
-        if dst is not None:
-            self.store_def(instr.dst, dst)
+        self.store_def(instr.dst, dst)  # type: ignore[arg-type]
 
 
 # --------------------------------------------------------------------------- #
