@@ -50,11 +50,11 @@ from ..core.errors import CompilationError
 from ..core.events import MemoryOrder
 from . import bugs
 from .codegen import (
-    NO_FENCES,
+    _NO_FENCES,
     CompiledThread,
     CompiledUnit,
     _ThreadCodegen,
-    by_order,
+    _by_order,
 )
 from .ir import IRFunction, IRInstr, IRProgram
 from .passes import optimise
@@ -67,7 +67,7 @@ from .profiles import CompilerProfile
 class AArch64Codegen(_ThreadCodegen):
     """Armv8 AArch64 back-end (LSE and exclusive-loop variants)."""
 
-    fences = {**by_order("DMB.SY"), MemoryOrder.ACQ: "DMB.LD"}
+    fences = {**_by_order("DMB.SY"), MemoryOrder.ACQ: "DMB.LD"}
     tagged = zero_branch = True
 
     def load_128(self, instr: IRInstr) -> None:
@@ -174,13 +174,13 @@ class AArch64Codegen(_ThreadCodegen):
 class Armv7Codegen(_ThreadCodegen):
     """Armv7-A back-end: DMB ISH bracketing + LDREX/STREX loops."""
 
-    fences = by_order("DMB.ISH")
-    load_fences = (by_order("DMB.ISH", "is_seq_cst"),
-                   by_order("DMB.ISH", "at_least_acquire"))
-    store_fences = (by_order("DMB.ISH", "at_least_release"),
-                    by_order("DMB.ISH", "is_seq_cst"))
-    rmw_fences = (by_order("DMB.ISH", "at_least_release"),
-                  by_order("DMB.ISH", "at_least_acquire"))
+    fences = _by_order("DMB.ISH")
+    load_fences = (_by_order("DMB.ISH", "is_seq_cst"),
+                   _by_order("DMB.ISH", "at_least_acquire"))
+    store_fences = (_by_order("DMB.ISH", "at_least_release"),
+                    _by_order("DMB.ISH", "is_seq_cst"))
+    rmw_fences = (_by_order("DMB.ISH", "at_least_release"),
+                  _by_order("DMB.ISH", "at_least_acquire"))
     retry_on = Op.CMP
 
 
@@ -191,9 +191,9 @@ class X86Codegen(_ThreadCodegen):
     """x86-64 back-end: plain MOVs under TSO, locked RMWs."""
 
     # weaker fences are compiler-only barriers on TSO: no instruction
-    fences = by_order("MFENCE", "is_seq_cst")
+    fences = _by_order("MFENCE", "is_seq_cst")
     # gcc: seq_cst store = MOV + MFENCE (clang's is an XCHG, see store_op)
-    store_fences = ({}, by_order("MFENCE", "is_seq_cst"))
+    store_fences = ({}, _by_order("MFENCE", "is_seq_cst"))
     two_operand = addr_first = store_imm = True
 
     def __init__(self, fn: IRFunction, program: IRProgram,
@@ -201,7 +201,7 @@ class X86Codegen(_ThreadCodegen):
         super().__init__(fn, program, profile, isa)
         self.xchg_store = self.profile.compiler == "llvm"
         if self.xchg_store:
-            self.store_fences = NO_FENCES
+            self.store_fences = _NO_FENCES
 
     def store_op(self, instr: IRInstr, value: Optional[str], addr: str) -> None:
         if instr.order.is_seq_cst and self.xchg_store:
@@ -248,12 +248,12 @@ class X86Codegen(_ThreadCodegen):
 class RiscVCodegen(_ThreadCodegen):
     """RV64 back-end: fence-based loads/stores, annotated AMOs."""
 
-    fences = {**by_order("FENCE.RW.RW"), MemoryOrder.ACQ: "FENCE.R.RW",
+    fences = {**_by_order("FENCE.RW.RW"), MemoryOrder.ACQ: "FENCE.R.RW",
               MemoryOrder.REL: "FENCE.RW.W"}
-    load_fences = (by_order("FENCE.RW.RW", "is_seq_cst"),
-                   by_order("FENCE.R.RW", "at_least_acquire"))
-    store_fences = (by_order("FENCE.RW.W", "at_least_release"),
-                    by_order("FENCE.RW.RW", "is_seq_cst"))
+    load_fences = (_by_order("FENCE.RW.RW", "is_seq_cst"),
+                   _by_order("FENCE.R.RW", "at_least_acquire"))
+    store_fences = (_by_order("FENCE.RW.W", "at_least_release"),
+                    _by_order("FENCE.RW.RW", "is_seq_cst"))
     zero_branch = fused_branch = True
 
     def emit_rmw(self, instr: IRInstr, index: int) -> None:
@@ -272,18 +272,18 @@ class RiscVCodegen(_ThreadCodegen):
 # --------------------------------------------------------------------------- #
 # PowerPC
 # --------------------------------------------------------------------------- #
-_PPC_RELEASE = {**by_order("LWSYNC", "at_least_release"),
-                **by_order("SYNC", "is_seq_cst")}
+_PPC_RELEASE = {**_by_order("LWSYNC", "at_least_release"),
+                **_by_order("SYNC", "is_seq_cst")}
 
 
 class PpcCodegen(_ThreadCodegen):
     """PowerPC64 back-end: SYNC/LWSYNC bracketing, LWARX/STWCX. loops."""
 
-    fences = {**by_order("LWSYNC"), MemoryOrder.SC: "SYNC"}
-    load_fences = (by_order("SYNC", "is_seq_cst"),
-                   by_order("LWSYNC", "at_least_acquire"))
+    fences = {**_by_order("LWSYNC"), MemoryOrder.SC: "SYNC"}
+    load_fences = (_by_order("SYNC", "is_seq_cst"),
+                   _by_order("LWSYNC", "at_least_acquire"))
     store_fences = (_PPC_RELEASE, {})
-    rmw_fences = (_PPC_RELEASE, by_order("LWSYNC", "at_least_acquire"))
+    rmw_fences = (_PPC_RELEASE, _by_order("LWSYNC", "at_least_acquire"))
     # stwcx. reports through CR0
     retry_on = Op.BCOND
 
@@ -291,14 +291,14 @@ class PpcCodegen(_ThreadCodegen):
 # --------------------------------------------------------------------------- #
 # MIPS
 # --------------------------------------------------------------------------- #
-_MIPS_SYNC = by_order("MIPS.SYNC", "is_atomic")
+_MIPS_SYNC = _by_order("MIPS.SYNC", "is_atomic")
 
 
 class MipsCodegen(_ThreadCodegen):
     """MIPS64 back-end: conservative SYNC bracketing of every atomic
     access (GCC treats atomics as volatile — paper §IV-C [40])."""
 
-    fences = by_order("MIPS.SYNC")
+    fences = _by_order("MIPS.SYNC")
     load_fences = store_fences = (_MIPS_SYNC, _MIPS_SYNC)
     rmw_fences = (fences, fences)
     # sc writes 1 over its value register on success

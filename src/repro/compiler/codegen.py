@@ -69,10 +69,10 @@ class CompiledUnit:
 FenceTable = Dict[MemoryOrder, str]
 #: the (leading, trailing) fences around one kind of access
 FencePair = Tuple[FenceTable, FenceTable]
-NO_FENCES: FencePair = ({}, {})
+_NO_FENCES: FencePair = ({}, {})
 
 
-def by_order(tag: str, test: str = "") -> FenceTable:
+def _by_order(tag: str, test: str = "") -> FenceTable:
     """``tag`` for every memory order, or for those whose property
     ``test`` holds (``"is_seq_cst"``, ``"at_least_acquire"``, …)."""
     return {order: tag for order in MemoryOrder if not test or getattr(order, test)}
@@ -90,9 +90,9 @@ class _ThreadCodegen:
     #: ``atomic_thread_fence``'s tag by memory order (none: no instruction)
     fences: FenceTable = {}
     #: the fences around a load, a store and an LL/SC RMW, by memory order
-    load_fences: FencePair = NO_FENCES
-    store_fences: FencePair = NO_FENCES
-    rmw_fences: FencePair = NO_FENCES
+    load_fences: FencePair = _NO_FENCES
+    store_fences: FencePair = _NO_FENCES
+    rmw_fences: FencePair = _NO_FENCES
     #: acquire/release are tags on the accesses (LDAR, STLR, LDAXR/STLXR)
     tagged: bool = False
     #: how an LL/SC loop retries: CBNZ or CBZ on the status register,
